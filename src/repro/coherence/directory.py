@@ -9,11 +9,19 @@ serialise through its home bank. Three organisations are modelled:
 * :class:`SparseDirectory` -- the *realistic* configuration: a sparse [15]
   set-associative directory (default 16 K entries x 128 ways per bank)
   holding entries only for lines present in at least one L2. Evicted
-  entries invalidate all their sharers.
+  entries invalidate all their sharers. Each set's dict is kept in LRU
+  order, oldest first, so its first key is the victim (O(1) even when
+  the sweep makes a bank fully associative).
 * :class:`LimitedPointerDirectory` -- the Dir4B limited scheme [2]: same
   sparse organisation, but each entry tracks at most four explicit sharer
   pointers; a fifth sharer sets the entry's broadcast bit, after which
   invalidations must probe every cluster.
+
+Every bank also stamps each entry's ``lru`` with a unique, increasing
+tick on every :meth:`~BaseDirectory.touch`. The ticks order entries
+*across* sets, which :meth:`~BaseDirectory.snapshot` and the model
+checker's state ranking need; within a set, the ticks and the dict order
+agree, so the first key is exactly the minimum-``lru`` entry.
 
 Entries always carry the *true* sharer bitmask (the simulator's ground
 truth); the limited scheme only changes how invalidations are costed
@@ -310,7 +318,7 @@ class InfiniteDirectory(BaseDirectory):
     def get(self, line: int) -> Optional[DirectoryEntry]:
         return self._entries.get(line)
 
-    def _insert(self, entry: DirectoryEntry) -> None:
+    def _insert(self, entry: DirectoryEntry) -> Optional[DirectoryEntry]:
         self._entries[entry.line] = entry
         return None
 
@@ -325,7 +333,15 @@ class InfiniteDirectory(BaseDirectory):
 
 
 class SparseDirectory(BaseDirectory):
-    """Sparse set-associative full-map directory bank."""
+    """Sparse set-associative full-map directory bank.
+
+    Invariant: each dict in :attr:`sets` is in LRU order, oldest first,
+    so its first key is the eviction victim. :meth:`touch` moves the
+    resident entry to the end of its set and :meth:`_insert` appends, so
+    victim selection costs O(1) rather than a scan of every way. The
+    ``lru`` ticks are kept as well: they order entries across sets for
+    :meth:`snapshot` and rank entries in the model checker's state.
+    """
 
     kind = DirectoryKind.SPARSE
 
@@ -347,12 +363,23 @@ class SparseDirectory(BaseDirectory):
     def get(self, line: int) -> Optional[DirectoryEntry]:
         return self._set_of(line).get(line)
 
+    def touch(self, entry: DirectoryEntry) -> None:
+        self._tick += 1
+        entry.lru = self._tick
+        line = entry.line
+        bucket = self.sets[line % self.n_sets]
+        # Only the resident entry moves: a not-yet-inserted entry
+        # (allocate/restore touch before _insert) or a foreign entry for
+        # the same line must leave the set's order alone.
+        if bucket.get(line) is entry:
+            del bucket[line]
+            bucket[line] = entry
+
     def _insert(self, entry: DirectoryEntry) -> Optional[DirectoryEntry]:
         bucket = self._set_of(entry.line)
         victim = None
         if len(bucket) >= self.assoc:
-            victim_line = min(bucket, key=lambda ln: bucket[ln].lru)
-            victim = bucket.pop(victim_line)
+            victim = bucket.pop(next(iter(bucket)))
         bucket[entry.line] = entry
         self._occupied[entry.line % self.n_sets] = None
         return victim

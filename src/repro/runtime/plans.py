@@ -55,10 +55,12 @@ Soundness:
   share an L3 set -- so same-set fine-path data accesses (and every
   path that merges probe data into the L3 first) use the interpreter's
   ``_l3_access`` verbatim instead of a baked validity class.
-* Signatures outside the compiled footprint (a partially valid L3 line,
-  a directory set at associativity, an owner-read fault, an installed
-  region profiler) are negative-cached as *uncompilable* and always
-  interpret.
+* Calls outside the compiled footprint (a partially valid L3 line, a
+  directory set at associativity, a protocol-error path, an installed
+  region profiler) are *declined* before any signature lookup and run
+  in the interpreter; :meth:`PlanCache.stats` counts them as
+  ``declined``, apart from the ``interpreted`` count of signatures
+  negative-cached as uncompilable.
 * Plans bake only construction-time constants (latencies, occupancies,
   bank geometry, channel map, ``track_data``). Coarse-region changes
   (``region.valid`` flips, ``add``/``remove``) additionally invalidate
@@ -468,6 +470,8 @@ class PlanCache:
         self.compiled = 0
         self.replayed = 0
         self.interpreted = 0
+        #: Calls handed to the interpreter before any signature lookup.
+        self.declined = 0
         #: Plan source by signature, kept for tests and selfcheck S005.
         self.sources: dict = {}
         self._read: dict = {}
@@ -601,9 +605,14 @@ class PlanCache:
             "compiled": self.compiled,
             "replayed": self.replayed,
             "interpreted": self.interpreted,
+            "declined": self.declined,
             "generation": self.generation,
             "signatures": sorted(str(k) for k in self.sources),
         }
+
+    def _decline(self) -> None:
+        """Count one call handed to the interpreter without a lookup."""
+        self.declined += 1
 
     def _exec(self, sig, src: str, argnames: str, recipe=None):
         """Compile one plan body into a function; record its source.
@@ -662,7 +671,7 @@ class PlanCache:
         """Dispatch one RdReq; returns a Reply or None (interpret)."""
         ms = self.ms
         if ms.profiler is not None:
-            return None
+            return self._decline()
         bank = self._bank_memo.get(line)
         if bank is None:
             bank = ms._bank(line)
@@ -692,11 +701,12 @@ class PlanCache:
             if dentry is None:
                 dircls = "none"
                 if self._dir_set_full(bank, line):
-                    return None  # allocation would evict: interpret
+                    return self._decline()  # allocation would evict: interpret
             elif dentry.state == DIR_M:
                 if dentry.sharers.bit_length() - 1 == cluster_id \
                         or dentry.n_sharers != 1:
-                    return None  # interpreter raises the protocol error
+                    # The interpreter raises the protocol error.
+                    return self._decline()
                 dircls = "M"
             else:
                 dircls = "S"
@@ -708,23 +718,23 @@ class PlanCache:
             elif l3e.valid_mask == FULL_WORD_MASK:
                 l3cls = "hit"
             else:
-                return None  # partial-valid merge path: interpret
+                return self._decline()  # partial-valid merge path: interpret
         if domcls == "fineS" or domcls == "fineH":
             if domcls == "fineH" and self._dir_set_full(bank, line):
-                return None  # allocation would evict: interpret
+                return self._decline()  # allocation would evict: interpret
             table_line = self._table_line(line)
             if table_line == line:
-                return None  # self-aliasing table word: interpret
+                return self._decline()  # self-aliasing table word: interpret
             tl3cls, tl3e = self._probe_l3(bank, table_line, True)
             if tl3cls is None:
-                return None
+                return self._decline()
             if table_line % self._nsets != line % self._nsets:
                 # The table-word access cannot disturb the data line's
                 # set, so the data-leg validity class probed here is
                 # still true when the plan reaches it: bake it.
                 l3cls, l3e = self._probe_l3(bank, line, True)
                 if l3cls is None:
-                    return None
+                    return self._decline()
         else:
             table_line = tl3cls = tl3e = None
         sig = ("read", instruction, domcls, dircls, l3cls, tl3cls,
@@ -868,7 +878,7 @@ class PlanCache:
         """Dispatch one WrReq; returns a Reply or None (interpret)."""
         ms = self.ms
         if ms.profiler is not None:
-            return None
+            return self._decline()
         bank = self._bank_memo.get(line)
         if bank is None:
             bank = ms._bank(line)
@@ -899,13 +909,13 @@ class PlanCache:
             if dentry is None:
                 dircls = "none"
                 if self._dir_set_full(bank, line):
-                    return None
+                    return self._decline()
             else:
                 targets, _bcast = ms.dirs[bank].invalidation_targets(
                     dentry, ms.n_clusters, exclude=cluster_id)
                 dircls = "hitN" if targets else "hit0"
         elif domcls == "fineH" and self._dir_set_full(bank, line):
-            return None
+            return self._decline()
         if domcls in ("S", "coarse") or dircls in ("none", "hit0"):
             bucket = self._l3sets[bank][line % self._nsets]
             l3e = bucket.get(line)
@@ -914,20 +924,20 @@ class PlanCache:
             elif l3e.valid_mask == FULL_WORD_MASK:
                 l3cls = "hit"
             else:
-                return None
+                return self._decline()
         if domcls == "fineS" or domcls == "fineH":
             table_line = self._table_line(line)
             if table_line == line:
-                return None
+                return self._decline()
             tl3cls, tl3e = self._probe_l3(bank, table_line, True)
             if tl3cls is None:
-                return None
+                return self._decline()
             if table_line % self._nsets != line % self._nsets:
                 # Disjoint sets: the table-word access cannot disturb
                 # the data line's probed class (see read dispatch).
                 l3cls, l3e = self._probe_l3(bank, line, True)
                 if l3cls is None:
-                    return None
+                    return self._decline()
         else:
             table_line = tl3cls = tl3e = None
         sig = ("write", domcls, dircls, l3cls, tl3cls, self._obs.active)
@@ -1025,13 +1035,13 @@ class PlanCache:
         """Dispatch one S->M upgrade; returns a time or None (interpret)."""
         ms = self.ms
         if ms.profiler is not None:
-            return None
+            return self._decline()
         bank = self._bank_memo.get(line)
         if bank is None:
             bank = ms._bank(line)
         dentry = self._dirget[bank](line)
         if dentry is None or not dentry.sharers & (1 << cluster_id):
-            return None  # interpreter raises the protocol error
+            return self._decline()  # interpreter raises the protocol error
         targets, _bcast = ms.dirs[bank].invalidation_targets(
             dentry, ms.n_clusters, exclude=cluster_id)
         sig = ("upg", bool(targets), self._obs.active)
@@ -1078,13 +1088,13 @@ class PlanCache:
         """Dispatch one WB/eviction writeback; None means interpret."""
         ms = self.ms
         if ms.profiler is not None:
-            return None
+            return self._decline()
         if message is MessageType.SOFTWARE_FLUSH:
             flush = True
         elif message is MessageType.CACHE_EVICTION:
             flush = False
         else:
-            return None  # interpreter raises the protocol error
+            return self._decline()  # interpreter raises the protocol error
         bank = self._bank_memo.get(line)
         if bank is None:
             bank = ms._bank(line)
@@ -1094,7 +1104,7 @@ class PlanCache:
         if coh_dir:
             dentry = self._dirget[bank](line)
             if dentry is None:
-                return None  # interpreter raises the protocol error
+                return self._decline()  # interpreter raises the protocol error
         l3cls, l3e = self._probe_l3(bank, line, need_full=False)
         sig = ("wb", flush, coh_dir, l3cls, self._obs.active)
         fn = self._wb.get(sig, _MISSING)
@@ -1143,7 +1153,7 @@ class PlanCache:
         """Dispatch one RdRel; returns a time or None (interpret)."""
         ms = self.ms
         if ms.profiler is not None:
-            return None
+            return self._decline()
         bank = self._bank_memo.get(line)
         if bank is None:
             bank = ms._bank(line)
@@ -1201,10 +1211,10 @@ class PlanCache:
         """Dispatch one HWcc->SWcc transition; None means interpret."""
         ms = self.ms
         if ms.profiler is not None:
-            return None
+            return self._decline()
         probe = self._table_probe(line)
         if probe is None:
-            return None
+            return self._decline()
         bank, table_line, tl3cls, tl3e, twbit = probe
         dentry = self._dirget[bank](line)
         targets = None
@@ -1270,13 +1280,13 @@ class PlanCache:
         """
         ms = self.ms
         if ms.profiler is not None:
-            return None
+            return self._decline()
         for cluster in ms.clusters:
             if cluster.l2.peek(line) is not None:
-                return None
+                return self._decline()
         probe = self._table_probe(line)
         if probe is None:
-            return None
+            return self._decline()
         bank, table_line, tl3cls, tl3e, twbit = probe
         sig = ("thw", tl3cls, self._obs.active)
         fn = self._trans.get(sig, _MISSING)

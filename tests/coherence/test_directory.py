@@ -132,6 +132,106 @@ class TestSparseDirectory:
         assert directory.get(3) is None
 
 
+#: (n_entries, assoc, line range): one set-associative geometry and two
+#: fully associative ones, each driven with enough lines to evict.
+GEOMETRIES = [(8, 2, 16), (8, 8, 16), (64, 64, 96)]
+
+_OPS = st.lists(
+    st.tuples(st.sampled_from(["alloc", "alloc", "touch", "share", "free",
+                               "foreign", "restore"]),
+              st.integers(0, 95), st.integers(0, 15)),
+    max_size=120)
+
+
+class TestVictimEquivalence:
+    """Victims are exactly the min-``lru`` entries of the set.
+
+    The oracle keeps its own recency stamp per resident line, bumped on
+    every allocate/touch/add_sharer of that line, and predicts the
+    victim as the set member with the smallest stamp.
+    """
+
+    @pytest.mark.parametrize("n_entries,assoc,n_lines", GEOMETRIES)
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_OPS)
+    def test_victims_match_min_lru_oracle(self, n_entries, assoc, n_lines,
+                                          ops):
+        directory = SparseDirectory(n_entries, assoc)
+        n_sets = n_entries // assoc
+        stamps = {}
+        clock = 0
+        for t, (kind, raw_line, cluster) in enumerate(ops):
+            line = raw_line % n_lines
+            entry = directory.get(line)
+            clock += 1
+            if kind == "alloc" and entry is None:
+                members = [ln for ln in stamps if ln % n_sets == line % n_sets]
+                expected = (min(members, key=stamps.__getitem__)
+                            if len(members) >= assoc else None)
+                _entry, victim = directory.allocate(line, HEAP, float(t))
+                assert (None if victim is None else victim.line) == expected
+                stamps.pop(expected, None)
+                stamps[line] = clock
+            elif kind == "touch" and entry is not None:
+                directory.touch(entry)
+                stamps[line] = clock
+            elif kind == "share" and entry is not None:
+                directory.add_sharer(entry, cluster)
+                stamps[line] = clock
+            elif kind == "free" and entry is not None:
+                directory.deallocate(entry, float(t))
+                del stamps[line]
+            elif kind == "foreign":
+                # Same line, different object: must not move the resident.
+                directory.touch(DirectoryEntry(line, HEAP))
+                assert directory.get(line) is entry
+            elif kind == "restore":
+                snap = directory.snapshot()
+                assert [s[0] for s in snap] == sorted(stamps,
+                                                      key=stamps.__getitem__)
+                directory = SparseDirectory(n_entries, assoc)
+                directory.restore(snap)
+            assert {e.line for e in directory.entries()} == set(stamps)
+        for bucket in directory.sets:
+            ticks = [e.lru for e in bucket.values()]
+            assert ticks == sorted(ticks)
+
+    def test_foreign_touch_does_not_displace_resident(self):
+        directory = SparseDirectory(8, 8)
+        ea, _ = directory.allocate(0, HEAP, 0.0)
+        for line in range(1, 8):
+            directory.allocate(line, HEAP, 0.0)
+        directory.touch(DirectoryEntry(0, HEAP))  # foreign, same line
+        _e, victim = directory.allocate(8, HEAP, 1.0)
+        assert victim is ea
+
+    def test_touch_before_insert_is_harmless(self):
+        directory = SparseDirectory(8, 2)
+        ea, _ = directory.allocate(1, HEAP, 0.0)
+        directory.touch(DirectoryEntry(5, HEAP))  # same set, not resident
+        assert list(directory.sets[1]) == [1]
+        directory.allocate(5, HEAP, 1.0)
+        _e, victim = directory.allocate(9, HEAP, 2.0)
+        assert victim is ea
+
+    @pytest.mark.parametrize("n_entries,assoc", [(8, 2), (8, 8), (64, 64)])
+    def test_restore_preserves_eviction_order(self, n_entries, assoc):
+        original = SparseDirectory(n_entries, assoc)
+        entries = [original.allocate(line, HEAP, 0.0)[0]
+                   for line in range(n_entries)]
+        for entry in entries[::3]:
+            original.touch(entry)
+        for entry in entries[1::4]:
+            original.add_sharer(entry, 2)
+        restored = SparseDirectory(n_entries, assoc)
+        restored.restore(original.snapshot())
+        orders = [[bank.allocate(line, HEAP, 1.0)[1].line
+                   for line in range(n_entries, 2 * n_entries)]
+                  for bank in (original, restored)]
+        assert orders[0] == orders[1]
+        assert sorted(orders[0]) == list(range(n_entries))
+
+
 class TestLimitedPointerDirectory:
     def test_overflow_sets_broadcast(self):
         directory = LimitedPointerDirectory(64, 8)

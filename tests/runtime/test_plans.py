@@ -226,3 +226,26 @@ class TestInvalidation:
         stats = planned.memsys._plans.stats()
         assert stats["compiled"] > 0, "post-flip traffic must recompile"
         assert stats["replayed"] > 0
+
+
+class TestDeclinedCount:
+    """Calls handed to the interpreter before any lookup are counted."""
+
+    def test_full_directory_set_miss_is_declined(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PLANS", raising=False)
+        machine = make_machine(Policy.hwcc_real(entries_per_bank=1, assoc=1))
+        ms = machine.memsys
+        by_bank = {}
+        for addr in ADDRS:
+            by_bank.setdefault(ms._bank(addr >> 5), []).append(addr)
+        first, second = next(a for a in by_bank.values() if len(a) > 1)[:2]
+        cluster, local = machine.cluster_of_core(0)
+        t, _ = cluster.load(local, first, 0.0)
+        before = ms._plans.stats()
+        assert before["declined"] == 0
+        cluster.load(local, second, t)
+        after = ms._plans.stats()
+        assert ms.dirs[ms._bank(second >> 5)].evictions == 1
+        assert after["declined"] == 1
+        for key in ("compiled", "replayed", "interpreted"):
+            assert after[key] == before[key]
