@@ -90,19 +90,6 @@ def _env_float(name: str, default: float) -> float:
     return value
 
 
-def _env_backend() -> str:
-    from repro.runtime.backends import BACKENDS, DEFAULT_BACKEND
-
-    raw = os.environ.get("REPRO_BACKEND")
-    if raw in (None, ""):
-        return DEFAULT_BACKEND
-    if raw not in BACKENDS:
-        raise SimulationError(
-            f"REPRO_BACKEND must be one of {', '.join(BACKENDS)}; "
-            f"got {raw!r}")
-    return raw
-
-
 @dataclass
 class ExperimentConfig:
     """Machine/workload scale shared by every experiment driver."""
@@ -113,7 +100,14 @@ class ExperimentConfig:
     seed: int = 1234
     ops_per_slice: int = 8
     backend: str = "interp"
+    """Executor name; only ``"interp"`` exists (kept for callers that
+    still pass it)."""
     overrides: Dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        from repro.runtime.backends import resolve_backend
+
+        resolve_backend(self.backend)
 
     @staticmethod
     def from_env() -> "ExperimentConfig":
@@ -121,23 +115,19 @@ class ExperimentConfig:
 
         ``REPRO_FULL=1`` selects the paper's full 128-cluster machine;
         otherwise ``REPRO_CLUSTERS`` (default 4) and ``REPRO_SCALE``
-        (default 1.0) control the scaled run. ``REPRO_BACKEND`` picks
-        the executor backend (``interp``/``vec``) for either shape.
-        Malformed values raise a :class:`~repro.errors.SimulationError`
-        naming the variable and its accepted values instead of a raw
-        parse traceback.
+        (default 1.0) control the scaled run. Malformed values raise a
+        :class:`~repro.errors.SimulationError` naming the variable and
+        its accepted values instead of a raw parse traceback.
         """
-        backend = _env_backend()
         full = os.environ.get("REPRO_FULL")
         if full not in (None, "", "0", "1"):
             raise SimulationError(
                 f"REPRO_FULL must be 0 or 1; got {full!r}")
         if full == "1":
-            return ExperimentConfig(n_clusters=128, backend=backend)
+            return ExperimentConfig(n_clusters=128)
         return ExperimentConfig(
             n_clusters=_env_int("REPRO_CLUSTERS", 4),
             scale=_env_float("REPRO_SCALE", 1.0),
-            backend=backend,
         )
 
     def machine_config(self, **extra) -> MachineConfig:
@@ -186,8 +176,7 @@ def run_workload(name: str, policy: Policy, exp: ExperimentConfig,
         if isinstance(program, FrozenProgram):
             program = program.thaw()
         instrument(machine, program)
-    stats = machine.run(program, ops_per_slice=exp.ops_per_slice,
-                        backend=getattr(exp, "backend", "interp"))
+    stats = machine.run(program, ops_per_slice=exp.ops_per_slice)
     return stats, machine
 
 

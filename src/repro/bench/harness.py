@@ -78,14 +78,13 @@ def _max_rss_kb() -> int:
     return int(rss)
 
 
-def _spec_cell(spec: BenchSpec, reps: int, use_cache: bool = False,
-               backend: str = "interp") -> Cell:
+def _spec_cell(spec: BenchSpec, reps: int, use_cache: bool = False) -> Cell:
     """Encode a spec as a picklable parallel Cell for the bench worker."""
     from repro.analysis.experiments import ExperimentConfig
     from repro.cli import policy_from_name
 
     exp = ExperimentConfig(n_clusters=spec.n_clusters, scale=spec.scale,
-                           track_data=spec.track_data, backend=backend)
+                           track_data=spec.track_data)
     return Cell.make(spec.workload, policy_from_name(spec.policy), exp,
                      label=spec.key, _bench_reps=reps,
                      _bench_cache=use_cache)
@@ -208,8 +207,7 @@ def _static_lint_counts(cell: Cell) -> Optional[Dict[str, int]]:
 def run_bench(specs: Optional[Sequence[BenchSpec]] = None, reps: int = 1,
               jobs: Optional[int] = None,
               progress: Optional[ProgressFn] = None,
-              use_cache: bool = False,
-              backend: Optional[str] = None) -> Dict[str, object]:
+              use_cache: bool = False) -> Dict[str, object]:
     """Run the matrix and return the full schema-versioned document.
 
     ``use_cache=False`` (the default) forces the reuse layer off inside
@@ -217,23 +215,13 @@ def run_bench(specs: Optional[Sequence[BenchSpec]] = None, reps: int = 1,
     lets hits be served (and timed) from the result cache, recording
     per-cell statuses and a document-level hit rate so cached and
     uncached runs can never be silently compared.
-
-    ``backend`` selects the executor (default: ``$REPRO_BACKEND`` or
-    the interpreter) and is recorded in the document; simulated
-    counters are bit-identical across backends, so ``--compare``
-    against a baseline measured with the other backend is exactly the
-    cross-backend drift gate.
     """
-    if backend is None:
-        from repro.analysis.experiments import _env_backend
-
-        backend = _env_backend()
     specs = list(PINNED_MATRIX if specs is None else specs)
     if not specs:
         raise SimulationError("no cells selected")
     if reps < 1:
         raise SimulationError(f"reps must be >= 1; got {reps}")
-    cells = [_spec_cell(spec, reps, use_cache, backend) for spec in specs]
+    cells = [_spec_cell(spec, reps, use_cache) for spec in specs]
     results = run_cells(cells, jobs=jobs, progress=progress,
                         worker=_bench_cell)
     doc: Dict[str, object] = {
@@ -245,7 +233,6 @@ def run_bench(specs: Optional[Sequence[BenchSpec]] = None, reps: int = 1,
         "jobs": min(resolve_jobs(jobs), len(specs)),
         "reps": reps,
         "cache": bool(use_cache),
-        "backend": backend,
         "cells": {},
     }
     if use_cache:
@@ -269,8 +256,7 @@ def run_bench(specs: Optional[Sequence[BenchSpec]] = None, reps: int = 1,
 PROFILE_SCHEMA = 1
 
 
-def profile_cells(specs: Sequence[BenchSpec], backend: Optional[str] = None,
-                  top: int = 25,
+def profile_cells(specs: Sequence[BenchSpec], top: int = 25,
                   progress: Optional[ProgressFn] = None) -> Dict[str, object]:
     """cProfile one repetition of each cell, *outside* any timed region.
 
@@ -287,10 +273,8 @@ def profile_cells(specs: Sequence[BenchSpec], backend: Optional[str] = None,
     import os
     import pstats
 
-    from repro.analysis.experiments import _env_backend, run_workload
+    from repro.analysis.experiments import run_workload
 
-    if backend is None:
-        backend = _env_backend()
     if top < 1:
         raise SimulationError(f"profile top must be >= 1; got {top}")
     doc: Dict[str, object] = {
@@ -299,7 +283,6 @@ def profile_cells(specs: Sequence[BenchSpec], backend: Optional[str] = None,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "backend": backend,
         "top": top,
         "cells": {},
     }
@@ -312,7 +295,7 @@ def profile_cells(specs: Sequence[BenchSpec], backend: Optional[str] = None,
             if progress is not None:
                 progress(i, len(specs), spec.key,
                          time.perf_counter() - t0)
-            cell = _spec_cell(spec, 1, False, backend)
+            cell = _spec_cell(spec, 1, False)
             extra = dict(cell.config_extra)
             extra.pop("_bench_reps", None)
             extra.pop("_bench_cache", None)

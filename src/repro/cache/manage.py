@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.cache.keys import cache_enabled, cache_root, digest
+from repro.cache.programs import PROGRAM_SCHEMA
 from repro.cache.results import RESULT_SCHEMA, decode_stats
 from repro.errors import CacheAccessError
 from repro.runtime.program import FROZEN_FORMAT, FrozenProgram
@@ -156,8 +157,9 @@ def _verify_program(data: bytes) -> Optional[str]:
         # Same reasoning as above: unpickling corrupt bytes may raise
         # nearly any exception type; the I/O was already done.
         return f"corrupt pickle ({err})"
-    if not isinstance(payload, dict) or payload.get("schema") is None:
-        return "missing schema"
+    if (not isinstance(payload, dict)
+            or payload.get("schema") != PROGRAM_SCHEMA):
+        return f"schema is not {PROGRAM_SCHEMA}"
     if "key" not in payload:
         return "missing key"
     frozen = payload.get("frozen")

@@ -27,8 +27,7 @@ from repro.cache.keys import cache_enabled, cache_root, canonical, digest
 from repro.cache.results import ReuseStats
 from repro.errors import FreezeError
 from repro.mem.address import WORD_SHIFT
-from repro.runtime.program import (FROZEN_FORMAT, FrozenProgram, Program,
-                                   vectorize_program)
+from repro.runtime.program import FROZEN_FORMAT, FrozenProgram, Program
 
 #: Bumped whenever the artifact payload layout changes incompatibly.
 PROGRAM_SCHEMA = 1
@@ -173,9 +172,6 @@ def build_program(name: str, workload, machine
         if words:
             frozen.initial_memory = {word << WORD_SHIFT: value
                                      for word, value in words.items()}
-    # Build the vectorized column tables once, at freeze time, so every
-    # later store hit hands ``--backend vec`` its tables for free.
-    vectorize_program(frozen)
     if store.save(key, frozen):
         PROGRAM_STATS.stores += 1
     return program

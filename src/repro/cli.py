@@ -95,23 +95,16 @@ def _experiment_from_args(args) -> ExperimentConfig:
         exp.n_clusters = args.clusters
     if args.scale is not None:
         exp.scale = args.scale
-    if getattr(args, "backend", None):
-        exp.backend = args.backend
     if getattr(args, "track_data", False):
         exp.track_data = True
     return exp
 
 
 def _add_scale_args(parser) -> None:
-    from repro.runtime.backends import BACKENDS
-
     parser.add_argument("--clusters", type=int, default=None,
                         help="clusters to simulate (8 cores each)")
     parser.add_argument("--scale", type=float, default=None,
                         help="workload dataset/task scale factor")
-    parser.add_argument("--backend", choices=BACKENDS, default=None,
-                        help="executor backend (default: $REPRO_BACKEND "
-                             "or interp; vec requires numpy)")
 
 
 def _add_jobs_args(parser) -> None:
@@ -780,7 +773,7 @@ def cmd_bench(args) -> int:
         specs = select_specs(args.cells)
         doc = run_bench(specs, reps=args.reps, jobs=args.jobs,
                         progress=_progress_from_args(args, "bench"),
-                        use_cache=args.cache, backend=args.backend)
+                        use_cache=args.cache)
     except SimulationError as err:
         print(f"bench: {err}", file=sys.stderr)
         return 2
@@ -798,7 +791,7 @@ def cmd_bench(args) -> int:
         # inflates walls 4-5x, so profiled runs are a separate pass.
         try:
             profile_doc = profile_cells(
-                specs, backend=args.backend, top=args.profile_top,
+                specs, top=args.profile_top,
                 progress=_progress_from_args(args, "profile"))
         except SimulationError as err:
             print(f"bench: {err}", file=sys.stderr)
@@ -1049,11 +1042,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="serve hits from the result cache (times the "
                               "fetch, not the simulation; recorded in the "
                               "JSON so runs stay comparable)")
-    p_bench.add_argument("--backend", choices=("interp", "vec"), default=None,
-                         help="executor backend to measure (default: "
-                              "$REPRO_BACKEND or interp); counters are "
-                              "bit-identical, so --compare across backends "
-                              "is the cross-backend drift gate")
     _add_jobs_args(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

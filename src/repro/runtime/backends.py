@@ -1,11 +1,8 @@
-"""Executor backend registry: ``interp`` (default) and ``vec``.
+"""The executor name surface: one executor, ``interp``.
 
-The interpreter is the zero-dependency reference; the vectorized
-backend builds its freeze-time column tables with numpy, installed via
-the ``vec`` extra (``pip install repro[vec]``). Selection flows through
-one chokepoint so the CLI, the experiment configs, and the bench
-harness all agree on names and on the error message when numpy is
-missing.
+:class:`~repro.runtime.executor.BspExecutor` is the only executor. The
+name survives for callers and wire clients that still pass
+``backend="interp"``; any other name is an error.
 """
 
 from __future__ import annotations
@@ -13,39 +10,18 @@ from __future__ import annotations
 from repro.errors import SimulationError
 from repro.runtime.executor import BspExecutor
 
-#: Recognised backend names, in help-text order.
-BACKENDS = ("interp", "vec")
-
-DEFAULT_BACKEND = "interp"
-
-
-def numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
+#: Recognised executor names.
+BACKENDS = ("interp",)
 
 
 def resolve_backend(name):
-    """Map a backend name to an executor class.
+    """Map an executor name to its class.
 
-    ``None`` or the empty string selects the default interpreter.
-    Raises :class:`SimulationError` for unknown names, and for ``vec``
-    when numpy is not importable (naming the packaging extra so the fix
-    is one pip invocation away).
+    ``None``, the empty string and ``"interp"`` select
+    :class:`BspExecutor`; anything else raises :class:`SimulationError`.
     """
     if not name or name == "interp":
         return BspExecutor
-    if name == "vec":
-        if not numpy_available():
-            raise SimulationError(
-                "backend 'vec' requires numpy, which is not installed; "
-                "install the optional extra with 'pip install repro[vec]' "
-                "(or plain 'pip install numpy'), or use --backend interp")
-        from repro.runtime.vec import VecExecutor
-        return VecExecutor
     raise SimulationError(
-        f"unknown backend {name!r} (from --backend or the "
-        f"REPRO_BACKEND environment variable); registered backends: "
+        f"unknown backend {name!r}; the only executor is "
         f"{', '.join(BACKENDS)}")

@@ -34,25 +34,18 @@ compiles plain phases at run time.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FreezeError
-from repro.mem.address import LINE_SHIFT, WORD_SHIFT, WORDS_PER_LINE
-from repro.types import OP_COMPUTE, OP_LOAD, OP_STORE, OP_WB
+from repro.mem.address import LINE_SHIFT
+from repro.types import OP_WB
 
 Op = Tuple[int, ...]
 
 #: Bumped whenever the frozen layout changes incompatibly; stored in
 #: every artifact and checked on load.
-#: Format 2 added the typed-column :class:`VecPhase` tables consumed by
-#: the vectorized executor backend (``--backend vec``).
-FROZEN_FORMAT = 2
-
-#: ``VecPhase.flags`` bit: the op tuple carries a third element (a store
-#: value, an expected load value, or an atomic operand).
-VEC_HAS_VALUE = 0x01
+FROZEN_FORMAT = 3
 
 
 @dataclass
@@ -185,10 +178,6 @@ class FrozenPhase:
     stack_words: List[int]
     after: Optional[Callable[[object], None]] = None
     """In-process only; always ``None`` in artifacts written to disk."""
-    vec: Optional["VecPhase"] = None
-    """Typed-column tables for the vectorized backend; built once at
-    freeze time (:func:`vectorize_program`) and cached in program
-    artifacts, or lazily by the backend for phases frozen without it."""
 
     @property
     def n_tasks(self) -> int:
@@ -203,230 +192,6 @@ class FrozenPhase:
         """The original (unfused) op stream of task ``index``."""
         end = self.bounds[index + 1] - len(self.flush_lines[index])
         return list(self.ops[self.bounds[index]:end])
-
-
-@dataclass
-class VecPhase:
-    """Typed-column view of one frozen phase's flat op array.
-
-    One entry per op of :attr:`FrozenPhase.ops`, stored as plain
-    :mod:`array` columns (so artifacts unpickle in environments without
-    numpy; numpy is only used to *build* the tables). The per-op
-    columns decompose each address once (``line``/``word`` via the
-    :mod:`repro.mem.address` math); the run tables group maximal
-    stretches of consecutive same-line same-kind loads *or* stores --
-    the shapes the interpreter's batched hit loop and the cluster's
-    store path consume one op at a time and the vectorized backend
-    consumes in O(1) (loads) or with one inlined protocol loop
-    (stores, the paper-motivated batched SWcc dirty-mask updates):
-
-    * ``run_end[i]`` -- end (exclusive) of the maximal same-line
-      load/store run containing op ``i``. Runs never cross a task
-      boundary (tasks run on different cores), never mix kinds, and
-      every other op is its own singleton run.
-    * ``run_need[i]`` -- for load runs, OR of the word-valid bits the
-      *whole* run reads. A single mask test against an L1 entry's
-      ``valid_mask`` proves every load of the run would hit; a run
-      entered mid-way (after a slice break) needs a subset of this
-      mask, so the test is conservative: a false negative falls back
-      to the bit-identical per-op path, never the other way around.
-      Zero for store runs.
-    * ``run_exp[i]`` -- for load runs, 1 when any load of the run
-      carries an expected value (``len(op) > 2``); on ``track_data``
-      machines such runs take the per-op path so value checking is
-      preserved exactly. For store runs, 1 when any store value may
-      not round-trip through the float64 ``value`` column (|v| >=
-      2**53); such runs take the per-op path so exact values reach
-      the caches.
-    """
-
-    kind: array
-    addr: array
-    value: array
-    flags: array
-    line: array
-    word: array
-    run_end: array
-    run_need: array
-    run_exp: array
-
-    def __len__(self) -> int:
-        return len(self.kind)
-
-
-def vectorize_phase(phase: FrozenPhase) -> VecPhase:
-    """Build the typed-column tables for one frozen phase.
-
-    Uses numpy for the column math when available and a pure-Python
-    scan otherwise -- both produce identical tables, so artifacts built
-    either way are interchangeable.
-    """
-    try:
-        import numpy as np
-    except ImportError:
-        np = None
-    if np is None:
-        return _vectorize_py(phase)
-    ops = phase.ops
-    n = len(ops)
-    if n == 0:
-        empty = VecPhase(*(array(code) for code in
-                           ("b", "Q", "d", "B", "Q", "B", "Q", "B", "B")))
-        return empty
-    # Column extraction runs in C where possible: ``map(itemgetter)``
-    # and ``map(len)`` avoid four Python-level passes over the op
-    # tuples. Length-1 ops (none are emitted today) drop to the
-    # reference per-element scan rather than complicating the fast
-    # path.
-    from operator import itemgetter
-    lens = np.fromiter(map(len, ops), dtype=np.intp, count=n)
-    try:
-        kinds = np.fromiter(map(itemgetter(0), ops), dtype=np.int8,
-                            count=n)
-        addrs = np.fromiter(map(itemgetter(1), ops), dtype=np.uint64,
-                            count=n)
-    except (IndexError, OverflowError):
-        return _vectorize_py(phase)
-    has_value = lens > 2
-    try:
-        values = np.zeros(n, dtype=np.float64)
-        computes = (kinds == OP_COMPUTE) & ~has_value
-        if computes.any():
-            values[computes] = addrs[computes]
-        third_idx = np.flatnonzero(has_value)
-        if len(third_idx):
-            values[third_idx] = np.fromiter(
-                (ops[i][2] for i in third_idx), dtype=np.float64,
-                count=len(third_idx))
-    except OverflowError:
-        # A value beyond float64 range; the scalar scan zeroes it and
-        # flags its run for the exact per-op path.
-        return _vectorize_py(phase)
-    lines = addrs >> np.uint64(LINE_SHIFT)
-    words = ((addrs >> np.uint64(WORD_SHIFT))
-             & np.uint64(WORDS_PER_LINE - 1)).astype(np.uint8)
-    is_load = kinds == OP_LOAD
-    is_store = kinds == OP_STORE
-    runnable = is_load | is_store
-    # Run segmentation: a new run starts wherever the kind leaves
-    # {load, store}, the kind or the line changes, and at every task
-    # boundary regardless.
-    start = np.ones(n, dtype=bool)
-    if n > 1:
-        start[1:] = ~(runnable[1:] & (kinds[1:] == kinds[:-1])
-                      & (lines[1:] == lines[:-1]))
-    inner_bounds = [b for b in phase.bounds if 0 < b < n]
-    if inner_bounds:
-        start[np.asarray(inner_bounds)] = True
-    run_id = np.cumsum(start) - 1
-    last = np.flatnonzero(np.append(start[1:], True))
-    run_end = last[run_id] + 1
-    bits = np.where(is_load,
-                    np.left_shift(np.uint8(1), words), 0).astype(np.uint8)
-    starts_idx = np.flatnonzero(start)
-    run_need = np.bitwise_or.reduceat(bits, starts_idx)[run_id]
-    lossy = is_store & has_value & (np.abs(values) >= float(1 << 53))
-    run_exp = np.logical_or.reduceat((has_value & is_load) | lossy,
-                                     starts_idx)[run_id]
-    index = np.arange(n, dtype=np.uint64)
-    run_end = np.where(runnable, run_end, index + 1).astype(np.uint64)
-    run_need = np.where(is_load, run_need, 0).astype(np.uint8)
-    run_exp = np.where(runnable, run_exp, 0).astype(np.uint8)
-
-    def col(code, values_arr, dtype):
-        out = array(code)
-        out.frombytes(np.ascontiguousarray(values_arr, dtype=dtype).tobytes())
-        return out
-
-    return VecPhase(
-        kind=col("b", kinds, np.int8),
-        addr=col("Q", addrs, np.uint64),
-        value=col("d", values, np.float64),
-        flags=col("B", has_value.astype(np.uint8) * VEC_HAS_VALUE, np.uint8),
-        line=col("Q", lines, np.uint64),
-        word=col("B", words, np.uint8),
-        run_end=col("Q", run_end, np.uint64),
-        run_need=col("B", run_need, np.uint8),
-        run_exp=col("B", run_exp, np.uint8),
-    )
-
-
-def _vectorize_py(phase: FrozenPhase) -> VecPhase:
-    """Pure-Python :func:`vectorize_phase` (numpy-less environments)."""
-    ops = phase.ops
-    n = len(ops)
-    kind = array("b", bytes(n))
-    addr = array("Q", bytes(8 * n))
-    value = array("d", bytes(8 * n))
-    flags = array("B", bytes(n))
-    line = array("Q", bytes(8 * n))
-    word = array("B", bytes(n))
-    run_end = array("Q", bytes(8 * n))
-    run_need = array("B", bytes(n))
-    run_exp = array("B", bytes(n))
-    bounds = set(phase.bounds)
-    word_mask = WORDS_PER_LINE - 1
-    for i in range(n - 1, -1, -1):
-        op = ops[i]
-        k = op[0]
-        a = op[1] if len(op) > 1 else 0
-        kind[i] = k
-        addr[i] = a
-        exp_i = 0
-        if len(op) > 2:
-            flags[i] = VEC_HAS_VALUE
-            try:
-                value[i] = op[2]
-            except OverflowError:
-                exp_i = 1  # beyond float64 range; run takes the per-op path
-            if k == OP_LOAD:
-                exp_i = 1
-            elif k == OP_STORE and not (-(1 << 53) < op[2] < (1 << 53)):
-                exp_i = 1
-        elif k == OP_COMPUTE and len(op) > 1:
-            value[i] = op[1]
-        ln = a >> LINE_SHIFT
-        w = (a >> WORD_SHIFT) & word_mask
-        line[i] = ln
-        word[i] = w
-        if k != OP_LOAD and k != OP_STORE:
-            run_end[i] = i + 1
-            continue
-        bit = (1 << w) if k == OP_LOAD else 0
-        succ = i + 1
-        if (succ < n and succ not in bounds and kind[succ] == k
-                and line[succ] == ln):
-            run_end[i] = run_end[succ]
-            run_need[i] = run_need[succ] | bit
-            run_exp[i] = run_exp[succ] or exp_i
-        else:
-            run_end[i] = i + 1
-            run_need[i] = bit
-            run_exp[i] = exp_i
-    # run_need/run_exp hold suffix aggregates after the backward scan;
-    # widen them to whole-run aggregates (what the numpy path builds,
-    # and what a mid-run entry after a slice break must test against).
-    i = 0
-    while i < n:
-        end = run_end[i]
-        if end - i > 1:
-            need = run_need[i]
-            exp = run_exp[i]
-            for j in range(i + 1, end):
-                run_need[j] = need
-                run_exp[j] = exp
-        i = end
-    return VecPhase(kind=kind, addr=addr, value=value, flags=flags,
-                    line=line, word=word, run_end=run_end,
-                    run_need=run_need, run_exp=run_exp)
-
-
-def vectorize_program(frozen: "FrozenProgram") -> "FrozenProgram":
-    """Attach :class:`VecPhase` tables to every phase missing them."""
-    for phase in frozen.phases:
-        if phase.vec is None:
-            phase.vec = vectorize_phase(phase)
-    return frozen
 
 
 @dataclass

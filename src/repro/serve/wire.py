@@ -103,6 +103,7 @@ def decode_cell(obj) -> Cell:
     if policy_name not in POLICY_CHOICES:
         raise WireError(f"unknown policy {policy_name!r} "
                         f"(have: {', '.join(POLICY_CHOICES)})")
+    # Accepted for wire compatibility; "interp" is the only executor.
     backend = _require(obj, "backend", str, default="interp")
     if backend not in BACKENDS:
         raise WireError(f"unknown backend {backend!r} "
@@ -139,8 +140,7 @@ def decode_cell(obj) -> Cell:
         scale=scale,
         track_data=_require(obj, "track_data", bool, default=False),
         seed=_require(obj, "seed", int, default=1234),
-        ops_per_slice=ops_per_slice,
-        backend=backend)
+        ops_per_slice=ops_per_slice)
     return Cell.make(workload, policy, exp,
                      force_hw_data=_require(obj, "force_hw_data", bool,
                                             default=False),

@@ -78,19 +78,11 @@ class Machine:
         for core in range(len(self.core_clocks)):
             self.core_clocks[core] = 0.0
 
-    def run(self, program, ops_per_slice: int = 8,
-            backend: str = "interp") -> RunStats:
-        """Execute a BSP program to completion and return its stats.
+    def run(self, program, ops_per_slice: int = 8) -> RunStats:
+        """Execute a BSP program to completion and return its stats."""
+        from repro.runtime.executor import BspExecutor
 
-        ``backend`` selects the executor: ``"interp"`` (the reference
-        interpreter, default) or ``"vec"`` (the vectorized batch
-        backend, bit-identical, requires numpy).
-        """
-        from repro.runtime.backends import resolve_backend
-
-        executor_cls = resolve_backend(backend)
-        executor = executor_cls(self, program, ops_per_slice=ops_per_slice)
-        return executor.run()
+        return BspExecutor(self, program, ops_per_slice=ops_per_slice).run()
 
     # -- functional-data helpers (track_data machines only) ----------------------
     def drain_caches(self) -> None:

@@ -1,10 +1,10 @@
-"""Lazy numpy dependency for workloads that generate data with it.
+"""Lazy numpy import for workloads that generate data with it.
 
 dmm and heat evaluate their reference results (matrix product, Jacobi
-recurrence) with numpy at build time. The package itself must import --
-and the interpreter backend must run every numpy-free kernel -- without
-numpy installed, so those workloads pull it in lazily and fail with an
-error naming the packaging extra instead of an ImportError at import
+recurrence) with numpy at build time. numpy is a declared dependency,
+but only these two builders need it, so it is imported inside
+``build()``: importing :mod:`repro` stays cheap, and a broken install
+fails with an actionable error instead of an ImportError at import
 time.
 """
 
@@ -20,7 +20,8 @@ def require_numpy(workload: str):
     except ImportError:
         raise SimulationError(
             f"workload {workload!r} generates its dataset with numpy, "
-            "which is not installed; install the optional extra with "
-            "'pip install repro[vec]' (or plain 'pip install numpy')"
+            "which is not installed; numpy is a dependency of repro, so "
+            "reinstall it with 'pip install repro' (or plain "
+            "'pip install numpy')"
         ) from None
     return numpy

@@ -110,6 +110,28 @@ class TestProgramStore:
         assert PROGRAM_STATS.hits == 0 and PROGRAM_STATS.misses == 1
         assert warm.tasks_executed > 0
 
+    def test_older_frozen_format_is_a_miss_that_rebuilds(self, cache_dir,
+                                                          monkeypatch):
+        """An artifact stamped with an older frozen format is never
+        replayed: the store misses, rebuilds, and the run matches a
+        fresh build bit for bit."""
+        from repro.cache import PROGRAM_STATS
+
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        fresh = self._run(cache_dir)
+        monkeypatch.delenv("REPRO_CACHE")
+        self._run(cache_dir)
+        [path] = (cache_dir / "programs").rglob("*.pkl")
+        payload = pickle.loads(path.read_bytes())
+        payload["frozen"].format = FROZEN_FORMAT - 1
+        path.write_bytes(pickle.dumps(payload))
+        PROGRAM_STATS.reset()
+        rebuilt = self._run(cache_dir)
+        assert PROGRAM_STATS.hits == 0 and PROGRAM_STATS.misses == 1
+        assert PROGRAM_STATS.stores == 1
+        assert rebuilt.as_dict() == fresh.as_dict()
+        assert pickle.loads(path.read_bytes())["frozen"].format == FROZEN_FORMAT
+
     def test_artifact_is_plain_data(self, cache_dir):
         """No callables in the pickle: a frozen program is flat data."""
         self._run(cache_dir)

@@ -89,6 +89,41 @@ class TestVerifyClassification:
         assert any("simulated I/O error" in p for p in report.unreadable)
         assert not report.corrupt
 
+    def _rewrite_program(self, root, mutate):
+        import pickle
+
+        [path] = (root / "programs").rglob("*.pkl")
+        payload = pickle.loads(path.read_bytes())
+        mutate(payload)
+        path.write_bytes(pickle.dumps(payload))
+        return payload["key"]
+
+    def test_wrong_program_schema_is_corrupt(self, populated):
+        # verify must agree with the store: an entry load() would treat
+        # as a miss is never used, so it is not healthy.
+        from repro.cache.programs import PROGRAM_SCHEMA, ProgramStore
+
+        key = self._rewrite_program(
+            populated, lambda p: p.update(schema=PROGRAM_SCHEMA + 1))
+        assert ProgramStore(populated).load(key) is None
+        report = verify_cache(populated)
+        assert len(report.corrupt) == 1 and not report.unreadable
+        assert f"schema is not {PROGRAM_SCHEMA}" in report.corrupt[0]
+
+    def test_older_frozen_format_is_corrupt(self, populated):
+        from repro.cache.programs import ProgramStore
+        from repro.runtime.program import FROZEN_FORMAT
+
+        def downgrade(payload):
+            payload["frozen"].format = FROZEN_FORMAT - 1
+
+        key = self._rewrite_program(populated, downgrade)
+        assert ProgramStore(populated).load(key) is None
+        report = verify_cache(populated)
+        assert len(report.corrupt) == 1 and not report.unreadable
+        assert (f"frozen format {FROZEN_FORMAT - 1} is not {FROZEN_FORMAT}"
+                in report.corrupt[0])
+
     def test_problems_lists_unreadable_first(self):
         report = VerifyReport(corrupt=["c"], unreadable=["u"])
         assert report.problems == ["u", "c"]

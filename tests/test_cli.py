@@ -379,24 +379,29 @@ class TestFriendlyErrors:
         from repro.errors import SimulationError
         from repro.runtime.backends import BACKENDS, resolve_backend
 
+        assert BACKENDS == ("interp",)
         with pytest.raises(SimulationError) as exc:
             resolve_backend("turbo")
         msg = str(exc.value)
         assert "'turbo'" in msg
-        assert "REPRO_BACKEND" in msg
-        for name in BACKENDS:
-            assert name in msg
+        assert "interp" in msg
 
-    def test_unknown_env_backend_is_one_line_usage_error(
-            self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "turbo")
-        code = main(["run", "--workload", "gjk", "--clusters", "1",
-                     "--scale", "0.1"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "'turbo'" in err
-        assert "interp" in err and "vec" in err
-        assert "Traceback" not in err
+    def test_vec_backend_is_gone(self, capsys):
+        from repro.analysis.experiments import ExperimentConfig
+        from repro.errors import SimulationError
+        from repro.runtime.backends import resolve_backend
+        from repro.runtime.executor import BspExecutor
+
+        for name in (None, "", "interp"):
+            assert resolve_backend(name) is BspExecutor
+        with pytest.raises(SimulationError, match="'vec'"):
+            resolve_backend("vec")
+        with pytest.raises(SimulationError, match="'vec'"):
+            ExperimentConfig(backend="vec")
+        with pytest.raises(SystemExit):
+            main(["run", "--workload", "gjk", "--clusters", "1",
+                  "--scale", "0.1", "--backend", "interp"])
+        assert "--backend" in capsys.readouterr().err
 
 
 class TestCacheCommand:

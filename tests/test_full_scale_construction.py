@@ -3,12 +3,16 @@
 Running the paper's experiments at full scale takes hours in pure
 Python; constructing the machine and pushing a little traffic through
 it is cheap and catches scale-dependent wiring bugs (bank striding over
-32 banks, 8 trees, 128-bit sharer masks).
+32 banks, 8 trees, 128-bit sharer masks). Under ``REPRO_FULL=1`` one
+full-machine kernel also runs end to end.
 """
+
+import os
 
 import pytest
 
 from repro import Machine, MachineConfig, Policy
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +66,16 @@ class TestFullScale:
         before = ms.counters.probe_response
         ms.transitions.to_hwcc(line, 0, 1e6)
         assert ms.counters.probe_response == before + 128
+
+
+@pytest.mark.skipif(os.environ.get("REPRO_FULL") != "1",
+                    reason="full-scale smoke only under REPRO_FULL=1")
+class TestFullScaleSmoke:
+    def test_full_machine_gjk(self):
+        """One 128-cluster (1024-core) kernel end to end."""
+        cfg = MachineConfig(track_data=False).scaled(128)
+        machine = Machine(cfg, Policy.cohesion(entries_per_bank=1024,
+                                               assoc=64))
+        program = get_workload("gjk", scale=1.0, seed=1234).build(machine)
+        stats = machine.run(program)
+        assert stats.as_dict()["cycles"] > 0
