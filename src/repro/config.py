@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.mem.address import LINE_BYTES, AddressMap
+from repro.timing import BUCKET_CYCLES
 from repro.types import DirectoryKind, PolicyKind
 
 
@@ -92,8 +93,14 @@ class MachineConfig:
         n_clusters = self.n_cores // self.cores_per_cluster
         if n_clusters % self.clusters_per_tree:
             raise ConfigError("cluster count must be a multiple of clusters_per_tree")
-        if self.tree_msgs_per_cycle <= 0:
-            raise ConfigError("tree_msgs_per_cycle must be positive")
+        # The network and L2-port fast paths inline Resource.acquire for
+        # occupancies that fit in one capacity bucket; wider ones would
+        # never find a bucket with room.
+        if self.tree_msgs_per_cycle < 1.0 / BUCKET_CYCLES:
+            raise ConfigError(
+                f"tree_msgs_per_cycle must be at least 1/{BUCKET_CYCLES:g}")
+        if self.l2_ports < 1:
+            raise ConfigError("l2_ports must be at least 1")
         if self.write_buffer_depth <= 0:
             raise ConfigError("write_buffer_depth must be positive")
         for cache, assoc in (("l1i", self.l1i_assoc), ("l1d", self.l1d_assoc),

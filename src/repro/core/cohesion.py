@@ -128,12 +128,6 @@ class MemorySystem:
         #: so the adaptive remapper can steer domain decisions.
         self.profiler = None
 
-        #: Optional :class:`~repro.runtime.plans.PlanCache` installed by
-        #: the machine builder. When present, the cluster-visible
-        #: operations below first try a compiled miss-path plan; a None
-        #: dispatch result falls through to the interpreter walk.
-        self._plans = None
-
     # -- wiring ----------------------------------------------------------------
     def attach_clusters(self, clusters: Sequence) -> None:
         """Connect the cluster controllers (called by the machine builder)."""
@@ -416,11 +410,6 @@ class MemorySystem:
     def read_line(self, cluster_id: int, line: int, now: float,
                   instruction: bool = False) -> Reply:
         """Read request (RdReq) from an L2 miss; returns the filled line."""
-        plans = self._plans
-        if plans is not None:
-            reply = plans.read_line(cluster_id, line, now, instruction)
-            if reply is not None:
-                return reply
         if instruction:
             self.counters.instruction_request += 1
         else:
@@ -473,11 +462,6 @@ class MemorySystem:
         bit; under HWcc the directory first removes every other copy and
         installs the requester as the modified owner.
         """
-        plans = self._plans
-        if plans is not None:
-            reply = plans.write_line_request(cluster_id, line, now)
-            if reply is not None:
-                return reply
         self.counters.write_request += 1
         if self.profiler is not None:
             self.profiler.note(line, self.profiler.WRITE, cluster_id)
@@ -509,11 +493,6 @@ class MemorySystem:
 
     def upgrade_request(self, cluster_id: int, line: int, now: float) -> float:
         """S -> M upgrade for a line the requester already holds clean."""
-        plans = self._plans
-        if plans is not None:
-            done = plans.upgrade_request(cluster_id, line, now)
-            if done is not None:
-                return done
         self.counters.write_request += 1
         if self.profiler is not None:
             self.profiler.note(line, self.profiler.WRITE, cluster_id)
@@ -547,13 +526,6 @@ class MemorySystem:
         domain (no directory interaction). For a coherent modified line
         being evicted, the owner's directory entry is released.
         """
-        plans = self._plans
-        if plans is not None:
-            done = plans.writeback(cluster_id, line, dirty_mask, values,
-                                   now, message, incoherent,
-                                   releases_ownership)
-            if done is not None:
-                return done
         if message is MessageType.SOFTWARE_FLUSH:
             self.counters.software_flush += 1
             if self.profiler is not None:
@@ -588,11 +560,6 @@ class MemorySystem:
         notifies the directory, which deallocates the entry when the
         sharer count drops to zero.
         """
-        plans = self._plans
-        if plans is not None:
-            done = plans.read_release(cluster_id, line, now)
-            if done is not None:
-                return done
         self.counters.read_release += 1
         if self.obs.active:
             self._emit_msg(now, cluster_id, line,

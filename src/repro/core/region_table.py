@@ -44,9 +44,6 @@ class CoarseRegion:
             table = getattr(self, "_table", None)
             if table is not None:
                 table._line_memo.clear()
-                cb = getattr(table, "_on_invalidate", None)
-                if cb is not None:
-                    cb()
 
     @property
     def end(self) -> int:
@@ -70,10 +67,6 @@ class CoarseRegionTable:
         # at boot and read on every L2 miss, so the linear region scan
         # is worth caching; add()/remove() invalidate wholesale.
         self._line_memo: dict = {}
-        # Invoked (no args) whenever the set of valid regions changes;
-        # compiled miss-path plans bake domain classifications that a
-        # region flip can change, so they hook this to drop their cache.
-        self._on_invalidate = None
 
     def add(self, start: int, size: int, name: str = "") -> CoarseRegion:
         if size <= 0:
@@ -89,8 +82,6 @@ class CoarseRegionTable:
         region._table = self
         self._regions.append(region)
         self._line_memo.clear()
-        if self._on_invalidate is not None:
-            self._on_invalidate()
         return region
 
     def remove(self, region: CoarseRegion) -> None:
@@ -99,8 +90,6 @@ class CoarseRegionTable:
         except ValueError:
             raise RegionError("region not present in coarse table") from None
         self._line_memo.clear()
-        if self._on_invalidate is not None:
-            self._on_invalidate()
 
     def lookup(self, addr: int) -> bool:
         """True if ``addr`` falls in any valid SWcc coarse region."""

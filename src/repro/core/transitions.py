@@ -73,11 +73,6 @@ class TransitionEngine:
         """Move ``line`` out of the hardware-coherent domain (Figure 7a)."""
         ms = self.ms
         self._require_hybrid()
-        plans = ms._plans
-        if plans is not None:
-            r = plans.to_swcc(cluster_id, line, now)
-            if r is not None:
-                return r
         t = ms.table_update(cluster_id, line, now)
         t = self._to_swcc_line_work(line, t)
         self.to_swcc_count += 1
@@ -110,11 +105,6 @@ class TransitionEngine:
         """Move ``line`` into the hardware-coherent domain (Figure 7b)."""
         ms = self.ms
         self._require_hybrid()
-        plans = ms._plans
-        if plans is not None:
-            r = plans.to_hwcc(cluster_id, line, now)
-            if r is not None:
-                return r
         t = ms.table_update(cluster_id, line, now)
         t = self._to_hwcc_line_work(line, t)
         self.to_hwcc_count += 1

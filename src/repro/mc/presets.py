@@ -89,12 +89,7 @@ def build_machine(model: ModelConfig) -> Machine:
                     directory=DirectoryKind.SPARSE,
                     dir_entries_per_bank=model.dir_entries_per_bank,
                     dir_assoc=model.dir_assoc)
-    machine = Machine(config, policy)
-    # The mutation harness monkey-patches protocol methods on live
-    # instances; compiled plans would bypass the patched methods and
-    # hide injected bugs, so model-checker machines always interpret.
-    machine.memsys._plans = None
-    return machine
+    return Machine(config, policy)
 
 
 PRESETS: Dict[str, ModelConfig] = {

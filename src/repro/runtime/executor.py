@@ -169,12 +169,6 @@ class BspExecutor:
         for core in range(n_cores):
             machine.core_clocks[core] = release
         self.barriers += 1
-        plans = machine.memsys._plans
-        if plans is not None:
-            # Settle deferred plan statistics before the barrier event:
-            # barrier subscribers (the utilization sampler) read the
-            # resource tallies at this point.
-            plans.settle()
         obs = self._obs
         if obs.active:
             # Emitted before phase.after so subscribers (the barrier

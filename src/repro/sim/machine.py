@@ -37,11 +37,6 @@ class Machine:
             Cluster(cid, config, policy, self.memsys)
             for cid in range(config.n_clusters)]
         self.memsys.attach_clusters(self.clusters)
-        # Compiled miss-path plans (repro.runtime.plans): installed
-        # after the clusters are attached so plan bodies can bake the
-        # cluster list. REPRO_PLANS=0 disables.
-        from repro.runtime.plans import install_plans
-        install_plans(self.memsys)
         self.core_clocks: List[float] = [0.0] * config.n_cores
         self.runtime = Runtime(self)
         self.api = self.runtime.api

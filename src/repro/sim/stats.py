@@ -112,9 +112,6 @@ class RunStats:
 def collect_stats(machine, end_time: float) -> RunStats:
     """Snapshot every counter of ``machine`` at ``end_time``."""
     ms = machine.memsys
-    plans = getattr(ms, "_plans", None)
-    if plans is not None:
-        plans.settle()  # fold deferred resource statistics (exact)
     stats = RunStats(cycles=end_time)
     stats.messages = ms.counters.merged_with(MessageCounters())
     stats.l3_hits = sum(bank.hits for bank in ms.l3)

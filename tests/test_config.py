@@ -81,6 +81,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             MachineConfig(n_cores=8 * 24, clusters_per_tree=16)
 
+    def test_tree_occupancy_must_fit_a_bucket(self):
+        # 0.02 msg/clk is a 50-cycle occupancy, wider than a 32-cycle
+        # capacity bucket: the inlined network acquire would spin forever.
+        with pytest.raises(ConfigError):
+            MachineConfig(tree_msgs_per_cycle=0.02)
+        with pytest.raises(ConfigError):
+            MachineConfig(tree_msgs_per_cycle=0.0)
+        MachineConfig(tree_msgs_per_cycle=1.0 / 32.0)
+
+    def test_l2_needs_a_port(self):
+        with pytest.raises(ConfigError):
+            MachineConfig(l2_ports=0)
+
 
 class TestScaled:
     def test_scaled_preserves_per_cluster_resources(self):

@@ -33,11 +33,6 @@ class TestFullScale:
         for i in range(128):
             machine.clusters[i % 128].load(0, 0x2100_0000 + 2048 * i,
                                            100.0 * i)
-        if ms._plans is not None:
-            # Plan replay defers pure resource statistics; reading
-            # acquisitions between raw protocol calls requires a settle
-            # (see repro.runtime.plans).
-            ms._plans.settle()
         touched_banks = sum(1 for bank in ms.bank_ports.members
                             if bank.acquisitions)
         assert touched_banks > 16  # striding reaches most banks

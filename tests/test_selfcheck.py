@@ -300,71 +300,3 @@ def classify(action):
         findings = self.scan(actions=GOOD_ACTIONS + compares)
         assert any("'inv'" in f.message for f in findings)
         assert any("'evict'" in f.message for f in findings)
-
-
-GOOD_PLANS = '''
-def _frag_to_l3(cl, src, obs, recipe):
-    text = f"""
-    NET.messages += 1
-    t = {src} + ONE_WAY
-"""
-    if obs:
-        text += f"""
-    OBS.emit(ObsEvent({src}, EV_NET, {cl}, dur=t - {src}, detail="up"))
-"""
-    return text
-
-
-def _frag_bank_port(occ, recipe):
-    return f"""
-    t = PORTS.acquire(t, {occ})
-"""
-'''
-
-
-class TestS005PlanEmitters:
-    def scan(self, plans=GOOD_PLANS):
-        return selfcheck.scan_plan_emitters(textwrap.dedent(plans))
-
-    def test_real_tree_passes(self):
-        assert selfcheck.check_plan_emitters() == []
-
-    def test_good_fragments_pass(self):
-        assert self.scan() == []
-
-    def test_emitter_without_obs_hook_flagged(self):
-        mutated = GOOD_PLANS.replace(
-            'OBS.emit(ObsEvent({src}, EV_NET, {cl}, dur=t - {src}, '
-            'detail="up"))', 'pass')
-        findings = self.scan(mutated)
-        assert any(f.rule == "S005" and "_frag_to_l3" in f.message
-                   and "blind" in f.message for f in findings)
-
-    def test_emitter_without_obs_parameter_flagged(self):
-        mutated = GOOD_PLANS.replace(
-            "def _frag_to_l3(cl, src, obs, recipe):",
-            "def _frag_to_l3(cl, src, observe, recipe):").replace(
-            "if obs:", "if observe:")
-        findings = self.scan(mutated)
-        assert any(f.rule == "S005" and "'obs' parameter" in f.message
-                   for f in findings)
-
-    def test_unguarded_emit_flagged(self):
-        mutated = GOOD_PLANS.replace("""    if obs:
-        text += f\"\"\"
-    OBS.emit""", """    if True:
-        text += f\"\"\"
-    OBS.emit""")
-        findings = self.scan(mutated)
-        assert any(f.rule == "S005" and "if obs:" in f.message
-                   for f in findings)
-
-    def test_missing_fragments_anchor_flagged(self):
-        findings = self.scan("def other():\n    pass\n")
-        assert any(f.rule == "S005" and "cannot anchor" in f.message
-                   for f in findings)
-
-    def test_quiescent_variant_carries_no_emit(self):
-        """The good sample's emit only exists under the obs branch --
-        the scan itself must not demand an unconditional emit."""
-        assert self.scan() == []

@@ -43,16 +43,8 @@ S003  footprint-table coverage: every model-checker action kind --
 
 S004  retired with the executor it checked; the number is not reused.
 
-S005  plan emit-hook coverage: every codegen fragment in
-      ``runtime/plans.py`` that emits protocol messages (bumps
-      ``NET.messages``) must take the signature's ``obs`` flag and
-      generate an ``OBS.emit(ObsEvent(...))`` hook for the observed
-      variant, and every generated ``OBS.emit`` must sit under an
-      ``if obs:`` specialization branch -- compiled replay on an
-      observed machine must announce exactly what the interpreter
-      would, and the quiescent variants must carry no emit code at
-      all. The companion dynamic check is the obs-stream equality
-      test in ``tests/runtime/test_plans.py``.
+S005  retired with the compiled plans it checked; the number is not
+      reused.
 
 Run as ``python tools/selfcheck.py`` (CI does); exit 1 on any finding.
 """
@@ -514,87 +506,16 @@ def check_footprint_table(src_root: pathlib.Path = SRC_ROOT) -> List[Finding]:
         rel_prefix=rel_prefix)
 
 
-def scan_plan_emitters(plans_src: str,
-                       rel: str = "src/repro/runtime/plans.py"
-                       ) -> List[Finding]:
-    """S005 findings for one plans.py source text."""
-    findings: List[Finding] = []
-    tree = ast.parse(plans_src)
-    frag_fns = [node for node in tree.body
-                if isinstance(node, ast.FunctionDef)
-                and node.name.startswith("_frag_")]
-    if not frag_fns:
-        findings.append(Finding(
-            "S005", rel, 1,
-            "no _frag_* codegen fragment functions found; the plan "
-            "emit-hook rule cannot anchor"))
-        return findings
-
-    def string_consts(node: ast.AST) -> List[ast.Constant]:
-        return [sub for sub in ast.walk(node)
-                if isinstance(sub, ast.Constant)
-                and isinstance(sub.value, str)]
-
-    # (a) message-emitting fragments carry the observed-variant hook.
-    for fn in frag_fns:
-        texts = string_consts(fn)
-        if not any("NET.messages += 1" in c.value for c in texts):
-            continue
-        if not any(arg.arg == "obs" for arg in fn.args.args):
-            findings.append(Finding(
-                "S005", rel, fn.lineno,
-                f"plan fragment {fn.name} emits protocol messages but "
-                f"takes no 'obs' parameter, so observed signatures "
-                f"cannot get an emitting variant"))
-            continue
-        if not any("OBS.emit(ObsEvent(" in c.value for c in texts):
-            findings.append(Finding(
-                "S005", rel, fn.lineno,
-                f"plan fragment {fn.name} emits protocol messages "
-                f"(NET.messages += 1) but generates no "
-                f"OBS.emit(ObsEvent(...)) hook; observed replay would "
-                f"go blind on this op-emitter"))
-
-    # (b) every generated OBS.emit sits under an `if obs:` branch, so
-    # quiescent variants carry no emit code and observed ones always do.
-    guarded: Set[int] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.If):
-            continue
-        if "obs" not in _names_in(node.test):
-            continue
-        for sub in node.body:
-            for c in string_consts(sub):
-                guarded.add(id(c))
-    for c in string_consts(tree):
-        if "OBS.emit(" in c.value and id(c) not in guarded:
-            findings.append(Finding(
-                "S005", rel, c.lineno,
-                "generated OBS.emit is not under an `if obs:` "
-                "specialization branch; either quiescent plans would "
-                "pay emit code or the guard discipline has drifted"))
-    return findings
-
-
-def check_plan_emitters(src_root: pathlib.Path = SRC_ROOT) -> List[Finding]:
-    """S005: plan codegen op-emitters carry their obs emit hooks."""
-    plans = src_root / "runtime" / "plans.py"
-    rel = plans.relative_to(src_root.parent.parent).as_posix()
-    return scan_plan_emitters(plans.read_text(), rel=rel)
-
-
 def run_all(src_root: pathlib.Path = SRC_ROOT) -> List[Finding]:
     return (check_emit_hooks(src_root) + check_measured_paths(src_root)
-            + check_footprint_table(src_root)
-            + check_plan_emitters(src_root))
+            + check_footprint_table(src_root))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="repo-invariant meta-lint (S001 emit hooks, "
                     "S002 deterministic measured paths, "
-                    "S003 footprint-table coverage, "
-                    "S005 plan emit-hook coverage)")
+                    "S003 footprint-table coverage)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
     args = parser.parse_args(argv)
