@@ -19,8 +19,14 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.mem.address import LINE_BYTES, AddressMap
-from repro.timing import BUCKET_CYCLES
 from repro.types import DirectoryKind, PolicyKind
+
+
+#: Longest a single tree message or DRAM line transfer may hold its link
+#: or channel, in cycles. The contention model charges one capacity
+#: bucket entry per 32 cycles of hold, so rates implying holds far beyond
+#: any plausible machine are rejected as bad input rather than simulated.
+MAX_OCCUPANCY_CYCLES = 1024.0
 
 
 def _is_pow2(n: int) -> bool:
@@ -53,7 +59,6 @@ class MachineConfig:
     l3_assoc: int = 8
     l3_banks: int = 32
     l3_latency: int = 16         # clks, minimum ("16+")
-    l3_ports: int = 1
 
     # -- DRAM --------------------------------------------------------------
     dram_channels: int = 8
@@ -78,14 +83,20 @@ class MachineConfig:
     """Store per-word values end to end so tests can check read results."""
 
     def __post_init__(self) -> None:
+        for name in ("n_cores", "cores_per_cluster", "clusters_per_tree",
+                     "l1i_assoc", "l1d_assoc", "l2_assoc", "l3_assoc",
+                     "l3_banks"):
+            if not getattr(self, name) >= 1:
+                raise ConfigError(f"{name} must be at least 1")
         if self.n_cores % self.cores_per_cluster:
             raise ConfigError("n_cores must be a multiple of cores_per_cluster")
         if self.line_bytes != LINE_BYTES:
             raise ConfigError("only 32-byte lines are supported")
         for name in ("l1i_bytes", "l1d_bytes", "l2_bytes", "l3_bytes"):
             size = getattr(self, name)
-            if size % self.line_bytes:
-                raise ConfigError(f"{name} must be a multiple of the line size")
+            if not size > 0 or size % self.line_bytes:
+                raise ConfigError(
+                    f"{name} must be a positive multiple of the line size")
         if not _is_pow2(self.dram_channels):
             raise ConfigError("dram_channels must be a power of two")
         if self.l3_banks % self.dram_channels:
@@ -93,12 +104,22 @@ class MachineConfig:
         n_clusters = self.n_cores // self.cores_per_cluster
         if n_clusters % self.clusters_per_tree:
             raise ConfigError("cluster count must be a multiple of clusters_per_tree")
-        # The network and L2-port fast paths inline Resource.acquire for
-        # occupancies that fit in one capacity bucket; wider ones would
-        # never find a bucket with room.
-        if self.tree_msgs_per_cycle < 1.0 / BUCKET_CYCLES:
+        # Compared by multiplication so tiny rates cannot divide by zero.
+        if not self.tree_msgs_per_cycle * MAX_OCCUPANCY_CYCLES >= 1:
             raise ConfigError(
-                f"tree_msgs_per_cycle must be at least 1/{BUCKET_CYCLES:g}")
+                "tree_msgs_per_cycle must be at least "
+                f"1/{MAX_OCCUPANCY_CYCLES:g} (one message per "
+                f"{MAX_OCCUPANCY_CYCLES:g} cycles)")
+        if not self.core_freq_ghz > 0:
+            raise ConfigError("core_freq_ghz must be positive")
+        if not self.memory_bw_gbps > 0:
+            raise ConfigError("memory_bw_gbps must be positive")
+        if not (self.dram_bytes_per_cycle_per_channel * MAX_OCCUPANCY_CYCLES
+                >= self.line_bytes):
+            raise ConfigError(
+                "memory_bw_gbps / core_freq_ghz is too low: a DRAM line "
+                "transfer may hold its channel at most "
+                f"{MAX_OCCUPANCY_CYCLES:g} cycles")
         if self.l2_ports < 1:
             raise ConfigError("l2_ports must be at least 1")
         if self.write_buffer_depth <= 0:

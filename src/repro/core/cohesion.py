@@ -29,7 +29,6 @@ transitions in :mod:`repro.core.transitions`.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig, Policy
@@ -38,18 +37,14 @@ from repro.coherence.messages import MessageCounters
 from repro.core.region_table import CoarseRegionTable, FineRegionTable
 from repro.errors import ProtocolError
 from repro.interconnect.network import Network
-from repro.mem.address import FULL_WORD_MASK, WORDS_PER_LINE, line_of
+from repro.mem.address import FULL_WORD_MASK, line_of
 from repro.mem.backing import BackingStore, NullBackingStore
 from repro.mem.cache import Cache, CacheLine
 from repro.mem.dram import DramModel
 from repro.obs.bus import EV_MSG, EventBus, ObsEvent
 from repro.runtime.layout import AddressLayout
-from repro.timing import BUCKET_CYCLES, _INV_BUCKET, ResourceGroup
+from repro.timing import ResourceGroup
 from repro.types import MessageType, PolicyKind
-
-#: C-level key for the L3 victim scans (see ``_l3_access``).
-_LRU_KEY = attrgetter("lru")
-
 
 class Reply(NamedTuple):
     """Completion of a cluster request at the requesting cluster."""
@@ -227,94 +222,18 @@ class MemorySystem:
         is absent; merges ``write_mask``/``write_values`` into the line.
         Returns the completion time and the resident L3 entry.
         """
-        # Every miss in the machine funnels through here: the bank-port
-        # reservation is a hand-inlined Resource.acquire (occupancy is
-        # always exactly one cycle), and the tag probe is fused with
-        # lookup()'s counter/LRU bookkeeping.
-        port = self.bank_ports.members[bank]
-        port.acquisitions += 1
-        port.total_busy += 1.0
-        used = port._used
-        bucket = int(now * _INV_BUCKET)
-        filled = used.get(bucket, 0.0)
-        if filled + 1.0 > BUCKET_CYCLES:
-            bucket, filled = port._slot_after(bucket, 1.0)
-        used[bucket] = filled + 1.0
-        t = bucket * BUCKET_CYCLES
-        if now > t:
-            t = now
-        t += self.l3_latency
+        # Every miss in the machine funnels through here: one cycle of
+        # bank-port service, then the tag probe.
+        t = self.bank_ports.members[bank].acquire(now, 1.0) + self.l3_latency
         cache = self.l3[bank]
-        entry = cache.sets[line % cache.n_sets].get(line)
-        if entry is not None:
-            cache._tick += 1
-            entry.lru = cache._tick
-            cache.hits += 1
-        else:
-            cache.misses += 1
+        entry = cache.lookup(line)
         if entry is None:
             if need_data:
-                # Inlined DramModel.access (lines=1): same channel
-                # acquire, same counters, same completion time. The
-                # rare cases the inline cannot take verbatim -- an
-                # active obs bus (EV_DRAM must be emitted) or a
-                # transfer occupancy wider than one bucket -- delegate
-                # to the real method.
-                dram = self.dram
-                chan = self._chan_of_bank[bank]
-                occ_d = dram.occupancy_per_line
-                if self.obs.active or occ_d > BUCKET_CYCLES:
-                    t = dram.access(chan, t)
-                else:
-                    res = dram.channels.members[chan]
-                    res.acquisitions += 1
-                    res.total_busy += occ_d
-                    used_d = res._used
-                    db = int(t * _INV_BUCKET)
-                    df = used_d.get(db, 0.0)
-                    if df + occ_d > BUCKET_CYCLES:
-                        db, df = res._slot_after(db, occ_d)
-                    used_d[db] = df + occ_d
-                    start = db * BUCKET_CYCLES
-                    if t > start:
-                        start = t
-                    dram.accesses[chan] += 1
-                    t = start + dram.latency + occ_d
-            # Inlined Cache.allocate. The probe above just missed and
-            # nothing since has inserted the line, so allocate()'s
-            # merge-with-existing branch is unreachable here; the LRU
-            # scan, counters and tick sequence are identical. A clean
-            # (or already written-back) victim's CacheLine object is
-            # recycled as the new entry -- every L3 miss evicts once
-            # the bank warms up, and no caller holds an L3 entry across
-            # a subsequent access (see the call sites), so the rewrite
-            # is invisible.
-            vm0 = FULL_WORD_MASK if need_data else write_mask
-            bucket2 = cache.sets[line % cache.n_sets]
-            cache._tick += 1
-            if len(bucket2) >= cache.assoc:
-                # C-level LRU scan; ``min`` keeps the first minimal
-                # entry in insertion order, matching the replaced
-                # strict-< loop, and an entry's ``line`` always equals
-                # its key in the set dict.
-                entry = min(bucket2.values(), key=_LRU_KEY)
-                del bucket2[entry.line]
-                cache.evictions += 1
-                if entry.dirty_mask:
-                    self._l3_victim(bank, entry, t)
-                entry.line = line
-                entry.valid_mask = vm0
-                entry.dirty_mask = 0
-                entry.incoherent = False
-                if entry.data is not None:
-                    entry.data[:] = (0,) * WORDS_PER_LINE
-            else:
-                entry = CacheLine(
-                    line, vm0, 0, False,
-                    [0] * WORDS_PER_LINE if cache.track_data else None)
-            entry.lru = cache._tick
-            bucket2[line] = entry
-            cache._occupied[line % cache.n_sets] = None
+                t = self.dram.access(self._chan_of_bank[bank], t)
+            entry, victim = cache.allocate(
+                line, FULL_WORD_MASK if need_data else write_mask)
+            if victim is not None:
+                self._l3_victim(bank, victim, t)
             if need_data and entry.data is not None:
                 entry.data[:] = self.backing.read_line(line)
         elif need_data and not entry.fully_valid:

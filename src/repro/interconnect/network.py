@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.config import MachineConfig
 from repro.obs.bus import EV_NET, ObsEvent
-from repro.timing import BUCKET_CYCLES, _INV_BUCKET, Resource, ResourceGroup
+from repro.timing import Resource, ResourceGroup
 
 #: The crossbar switches many messages per cycle across its ports.
 _XBAR_OCCUPANCY = 1.0 / 16.0
@@ -52,40 +52,12 @@ class Network:
     def tree_of(self, cluster: int) -> int:
         return cluster // self.clusters_per_tree
 
-    # ``to_l3``/``to_cluster`` carry a hand-inlined copy of
-    # :meth:`Resource.acquire` for each of the two reservations every
-    # network message pays. Link and crossbar occupancies are fixed
-    # fractions of a cycle, so the wide-request spill branch of the
-    # general ``acquire`` can never trigger; counters are maintained
-    # exactly as ``acquire`` would.
     def to_l3(self, cluster: int, now: float) -> float:
         """Time a message sent by ``cluster`` at ``now`` reaches its L3 bank."""
         self.messages += 1
-        occ = self.tree_occupancy
         link = self.up_links.members[cluster // self.clusters_per_tree]
-        link.acquisitions += 1
-        link.total_busy += occ
-        used = link._used
-        bucket = int(now * _INV_BUCKET)
-        filled = used.get(bucket, 0.0)
-        if filled + occ > BUCKET_CYCLES:
-            bucket, filled = link._slot_after(bucket, occ)
-        used[bucket] = filled + occ
-        start = bucket * BUCKET_CYCLES
-        if now > start:
-            start = now
-        xbar = self.crossbar
-        xbar.acquisitions += 1
-        xbar.total_busy += _XBAR_OCCUPANCY
-        used = xbar._used
-        bucket = int(start * _INV_BUCKET)
-        filled = used.get(bucket, 0.0)
-        if filled + _XBAR_OCCUPANCY > BUCKET_CYCLES:
-            bucket, filled = xbar._slot_after(bucket, _XBAR_OCCUPANCY)
-        used[bucket] = filled + _XBAR_OCCUPANCY
-        begin = bucket * BUCKET_CYCLES
-        if start > begin:
-            begin = start
+        start = link.acquire(now, self.tree_occupancy)
+        begin = self.crossbar.acquire(start, _XBAR_OCCUPANCY)
         finish = begin + self.one_way_latency
         obs = self.obs
         if obs is not None and obs.active:
@@ -96,31 +68,9 @@ class Network:
     def to_cluster(self, cluster: int, now: float) -> float:
         """Time a reply/probe sent at ``now`` arrives at ``cluster``."""
         self.messages += 1
-        xbar = self.crossbar
-        xbar.acquisitions += 1
-        xbar.total_busy += _XBAR_OCCUPANCY
-        used = xbar._used
-        bucket = int(now * _INV_BUCKET)
-        filled = used.get(bucket, 0.0)
-        if filled + _XBAR_OCCUPANCY > BUCKET_CYCLES:
-            bucket, filled = xbar._slot_after(bucket, _XBAR_OCCUPANCY)
-        used[bucket] = filled + _XBAR_OCCUPANCY
-        start = bucket * BUCKET_CYCLES
-        if now > start:
-            start = now
-        occ = self.tree_occupancy
+        start = self.crossbar.acquire(now, _XBAR_OCCUPANCY)
         link = self.down_links.members[cluster // self.clusters_per_tree]
-        link.acquisitions += 1
-        link.total_busy += occ
-        used = link._used
-        bucket = int(start * _INV_BUCKET)
-        filled = used.get(bucket, 0.0)
-        if filled + occ > BUCKET_CYCLES:
-            bucket, filled = link._slot_after(bucket, occ)
-        used[bucket] = filled + occ
-        begin = bucket * BUCKET_CYCLES
-        if start > begin:
-            begin = start
+        begin = link.acquire(start, self.tree_occupancy)
         finish = begin + self.one_way_latency
         obs = self.obs
         if obs is not None and obs.active:

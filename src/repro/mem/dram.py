@@ -26,10 +26,8 @@ class DramModel:
 
     def __init__(self, config: "MachineConfig") -> None:
         self.latency = config.dram_latency
-        bytes_per_cycle = config.dram_bytes_per_cycle_per_channel
-        if bytes_per_cycle <= 0:
-            raise ValueError("channel bandwidth must be positive")
-        self.occupancy_per_line = config.line_bytes / bytes_per_cycle
+        self.occupancy_per_line = (config.line_bytes
+                                   / config.dram_bytes_per_cycle_per_channel)
         self.channels = ResourceGroup(config.dram_channels)
         self.accesses = [0] * config.dram_channels
         # Observability bus, wired by the owning MemorySystem.

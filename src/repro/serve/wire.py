@@ -36,7 +36,7 @@ import dataclasses
 from typing import List, Optional
 
 from repro.analysis.parallel import Cell
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 
 #: Bumped whenever the request/response layout changes incompatibly.
 WIRE_SCHEMA = 1
@@ -141,6 +141,17 @@ def decode_cell(obj) -> Cell:
         track_data=_require(obj, "track_data", bool, default=False),
         seed=_require(obj, "seed", int, default=1234),
         ops_per_slice=ops_per_slice)
+    # Build the machine now: a bad override is the client's 400 here,
+    # not a failed job in the worker. The bare machine is built first so
+    # a bad cluster count is not blamed on the overrides.
+    blamed = "'clusters'"
+    try:
+        exp.machine_config()
+        if extra:
+            blamed = ", ".join(map(repr, extra))
+            exp.machine_config(**extra)
+    except (ConfigError, TypeError, ValueError, ArithmeticError) as exc:
+        raise WireError(f"machine config rejected ({blamed}): {exc}") from None
     return Cell.make(workload, policy, exp,
                      force_hw_data=_require(obj, "force_hw_data", bool,
                                             default=False),

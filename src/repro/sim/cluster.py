@@ -38,7 +38,7 @@ from repro.mem.cache import Cache, CacheLine
 from repro.obs.bus import (EV_ATOMIC, EV_FLUSH, EV_IFETCH, EV_INV, EV_LOAD,
                            EV_PROBE_CLEAN, EV_PROBE_DOWN, EV_PROBE_INV,
                            EV_STORE, ObsEvent)
-from repro.timing import BUCKET_CYCLES, _INV_BUCKET, Resource
+from repro.timing import Resource
 from repro.types import MessageType, PolicyKind
 
 
@@ -284,33 +284,8 @@ class Cluster:
                 return now + 1, value
         else:
             l1.misses += 1
-        # Fused _l2_start + Cache.lookup: one bus/port reservation and
-        # one tag probe, with the same counters lookup() maintains. The
-        # port reservation is a hand-inlined Resource.acquire (the port
-        # occupancy is always a sub-bucket fraction of a cycle).
-        port = self.port
-        occ = self.port_occ
-        port.acquisitions += 1
-        port.total_busy += occ
-        used = port._used
-        bucket = int(now * _INV_BUCKET)
-        filled = used.get(bucket, 0.0)
-        if filled + occ > BUCKET_CYCLES:
-            bucket, filled = port._slot_after(bucket, occ)
-        used[bucket] = filled + occ
-        t = bucket * BUCKET_CYCLES
-        if now > t:
-            t = now
-        t += self.bus_latency + self.l2_latency
-        l2 = self.l2
-        l2bucket = l2.sets[line % l2.n_sets]
-        entry = l2bucket.get(line)
-        if entry is not None:
-            l2._tick += 1
-            entry.lru = l2._tick
-            l2.hits += 1
-        else:
-            l2.misses += 1
+        t = self._l2_start(now)
+        entry = self.l2.lookup(line)
         if entry is not None and entry.valid_mask & bit:
             self._fill_l1_at(l1, l1bucket, e1, entry)
             value = entry.data[word] if entry.data is not None else 0
@@ -322,34 +297,7 @@ class Cluster:
         if entry is not None and not entry.incoherent:
             raise ProtocolError(f"partially valid coherent line {line:#x}")
         reply = self.memsys.read_line(self.id, line, t)
-        if entry is None:
-            # Inlined _install/Cache.allocate for the dominant
-            # nothing-resident case: the L2 bucket was already probed
-            # above, so allocation is the LRU scan and the insert alone.
-            victim = None
-            if len(l2bucket) >= l2.assoc:
-                victim_line = -1
-                best = None
-                for ln, resident in l2bucket.items():
-                    lru = resident.lru
-                    if best is None or lru < best:
-                        best = lru
-                        victim_line = ln
-                victim = l2bucket.pop(victim_line)
-                l2.evictions += 1
-            data = [0] * WORDS_PER_LINE if l2.track_data else None
-            entry = CacheLine(line, FULL_WORD_MASK, 0, reply.incoherent,
-                              data)
-            l2._tick += 1
-            entry.lru = l2._tick
-            l2bucket[line] = entry
-            l2._occupied[line % l2.n_sets] = None
-            if victim is not None:
-                self._handle_victim(victim, reply.time)
-            if data is not None and reply.data is not None:
-                data[:] = reply.data
-        else:
-            entry = self._install(line, reply, keep=entry)
+        entry = self._install(line, reply, keep=entry)
         self._fill_l1_at(l1, l1bucket, e1, entry)
         value = entry.data[word] if entry.data is not None else 0
         obs = self.obs
@@ -388,30 +336,8 @@ class Cluster:
                         del bucket[line]
                         if not bucket:
                             cache._occupied.pop(index, None)
-        # Fused _l2_start + Cache.lookup, as in load().
-        port = self.port
-        occ = self.port_occ
-        port.acquisitions += 1
-        port.total_busy += occ
-        used = port._used
-        bucket = int(now * _INV_BUCKET)
-        filled = used.get(bucket, 0.0)
-        if filled + occ > BUCKET_CYCLES:
-            bucket, filled = port._slot_after(bucket, occ)
-        used[bucket] = filled + occ
-        t = bucket * BUCKET_CYCLES
-        if now > t:
-            t = now
-        t += self.bus_latency + self.l2_latency
-        l2 = self.l2
-        l2bucket = l2.sets[line % l2.n_sets]
-        entry = l2bucket.get(line)
-        if entry is not None:
-            l2._tick += 1
-            entry.lru = l2._tick
-            l2.hits += 1
-        else:
-            l2.misses += 1
+        t = self._l2_start(now)
+        entry = self.l2.lookup(line)
         if entry is not None:
             if entry.incoherent or entry.dirty_mask:
                 # SWcc line, or an already-modified (M) coherent line.
@@ -440,29 +366,7 @@ class Cluster:
         t = self._posted_slot(t)
         reply = self.memsys.write_line_request(self.id, line, t)
         self._posted_done(reply.time)
-        # Inlined _install/Cache.allocate (nothing resident: the L2
-        # bucket was probed above), as in the load miss path.
-        victim = None
-        if len(l2bucket) >= l2.assoc:
-            victim_line = -1
-            best = None
-            for ln, resident in l2bucket.items():
-                lru = resident.lru
-                if best is None or lru < best:
-                    best = lru
-                    victim_line = ln
-            victim = l2bucket.pop(victim_line)
-            l2.evictions += 1
-        data = [0] * WORDS_PER_LINE if l2.track_data else None
-        entry = CacheLine(line, FULL_WORD_MASK, 0, reply.incoherent, data)
-        l2._tick += 1
-        entry.lru = l2._tick
-        l2bucket[line] = entry
-        l2._occupied[line % l2.n_sets] = None
-        if victim is not None:
-            self._handle_victim(victim, reply.time)
-        if data is not None and reply.data is not None:
-            data[:] = reply.data
+        entry = self._install(line, reply)
         entry.write_word(word, value)
         return t
 

@@ -58,6 +58,17 @@ class TestDecodeCell:
         ({"config": {"l2_bytes": [1]}}, "scalar"),
         ({"config": "x"}, "config"),
         ({"backend": "vec"}, "unknown backend"),
+        ({"config": {"l2_ports": 0}}, "l2_ports"),
+        ({"config": {"l2_bytes": "x"}}, "l2_bytes"),
+        ({"config": {"core_freq_ghz": 0}}, "core_freq_ghz"),
+        ({"config": {"l3_ports": 4}}, "l3_ports"),
+        ({"clusters": 3}, "clusters"),
+        ({"clusters": 3, "config": {"l2_ports": 2}}, r"\('clusters'\)"),
+        ({"config": {"l2_assoc": 0}}, "l2_assoc"),
+        ({"config": {"clusters_per_tree": 0}}, "clusters_per_tree"),
+        ({"config": {"tree_msgs_per_cycle": 1e-9}}, "tree_msgs_per_cycle"),
+        ({"config": {"memory_bw_gbps": 1e-9}}, "memory_bw_gbps"),
+        ({"config": {"memory_bw_gbps": 10 ** 400}}, "memory_bw_gbps"),
     ])
     def test_bad_cells_name_the_field(self, patch, needle):
         with pytest.raises(WireError, match=needle):

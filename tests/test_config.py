@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.config import MachineConfig, Policy
+from repro.config import MAX_OCCUPANCY_CYCLES, MachineConfig, Policy
 from repro.errors import ConfigError
 from repro.types import DirectoryKind, PolicyKind
 
@@ -30,7 +30,7 @@ class TestTable3Defaults:
         assert config.line_bytes == 32
         assert config.l2_latency == 4
         assert config.l3_latency == 16
-        assert config.l2_ports == 2 and config.l3_ports == 1
+        assert config.l2_ports == 2
 
     def test_l2_aggregate_is_8mb(self):
         assert MachineConfig().l2_total_bytes == 8 * 1024 * 1024
@@ -81,14 +81,38 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             MachineConfig(n_cores=8 * 24, clusters_per_tree=16)
 
-    def test_tree_occupancy_must_fit_a_bucket(self):
-        # 0.02 msg/clk is a 50-cycle occupancy, wider than a 32-cycle
-        # capacity bucket: the inlined network acquire would spin forever.
-        with pytest.raises(ConfigError):
-            MachineConfig(tree_msgs_per_cycle=0.02)
-        with pytest.raises(ConfigError):
-            MachineConfig(tree_msgs_per_cycle=0.0)
-        MachineConfig(tree_msgs_per_cycle=1.0 / 32.0)
+    def test_tree_rate_must_be_positive(self):
+        for rate in (0.0, -1.0, float("nan")):
+            with pytest.raises(ConfigError):
+                MachineConfig(tree_msgs_per_cycle=rate)
+        # Occupancies wider than a capacity bucket are legal.
+        MachineConfig(tree_msgs_per_cycle=0.02)
+
+    @pytest.mark.parametrize("field", ["core_freq_ghz", "memory_bw_gbps"])
+    def test_dram_rates_must_be_positive(self, field):
+        for value in (0.0, -1.0):
+            with pytest.raises(ConfigError, match=field):
+                MachineConfig(**{field: value})
+
+    def test_occupancy_is_bounded(self):
+        # A near-zero rate would make each message or line transfer hold
+        # its link or channel for an unbounded number of cycles.
+        with pytest.raises(ConfigError, match="tree_msgs_per_cycle"):
+            MachineConfig(tree_msgs_per_cycle=1e-9)
+        with pytest.raises(ConfigError, match="memory_bw_gbps"):
+            MachineConfig(memory_bw_gbps=1e-9)
+        with pytest.raises(ConfigError, match="memory_bw_gbps"):
+            MachineConfig(memory_bw_gbps=1e-320)
+        MachineConfig(tree_msgs_per_cycle=1.0 / MAX_OCCUPANCY_CYCLES)
+        # The 1-cluster scaled machine holds a DRAM channel 32 cycles.
+        MachineConfig().scaled(1)
+
+    @pytest.mark.parametrize("field", [
+        "n_cores", "cores_per_cluster", "clusters_per_tree", "l1i_assoc",
+        "l1d_assoc", "l2_assoc", "l3_assoc", "l3_banks", "l2_bytes"])
+    def test_counts_must_be_positive(self, field):
+        with pytest.raises(ConfigError, match=field):
+            MachineConfig(**{field: 0})
 
     def test_l2_needs_a_port(self):
         with pytest.raises(ConfigError):

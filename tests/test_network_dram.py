@@ -1,12 +1,14 @@
 """Interconnect and DRAM timing substrate."""
 
-import pytest
-from hypothesis import example, given, settings, strategies as st
+import dataclasses
+import math
 
-from repro import MachineConfig
-from repro.interconnect.network import _XBAR_OCCUPANCY, Network
+import pytest
+
+from repro import MachineConfig, Policy
+from repro.analysis.experiments import ExperimentConfig, run_workload
+from repro.interconnect.network import Network
 from repro.mem.dram import DramModel
-from repro.timing import Resource, ResourceGroup
 
 
 @pytest.fixture
@@ -52,61 +54,27 @@ class TestNetwork:
         assert last > base  # the link backed up
 
 
-class _ReferenceNetwork:
-    """Twin links and crossbar driven through plain Resource.acquire."""
+class TestSlowNetwork:
+    """A tree link slower than one message per capacity bucket: each
+    message's 50-cycle occupancy spills across buckets."""
 
-    def __init__(self, net: Network) -> None:
-        self.net = net
-        self.up_links = ResourceGroup(net.n_trees)
-        self.down_links = ResourceGroup(net.n_trees)
-        self.crossbar = Resource()
+    RATE = 0.02
 
-    def to_l3(self, cluster: int, now: float) -> float:
-        net = self.net
-        link = self.up_links[cluster // net.clusters_per_tree]
-        start = link.acquire(now, net.tree_occupancy)
-        begin = self.crossbar.acquire(start, _XBAR_OCCUPANCY)
-        return begin + net.one_way_latency
+    def test_burst_queues(self, config):
+        net = Network(dataclasses.replace(config,
+                                          tree_msgs_per_cycle=self.RATE))
+        finishes = [net.to_l3(0, 0.0) for _ in range(20)]
+        assert all(math.isfinite(f) for f in finishes)
+        assert all(b > a for a, b in zip(finishes, finishes[1:]))
+        # 19 queued 50-cycle occupancies, less bucket-granular starts.
+        assert finishes[-1] - finishes[0] > 18 / self.RATE
 
-    def to_cluster(self, cluster: int, now: float) -> float:
-        net = self.net
-        start = self.crossbar.acquire(now, _XBAR_OCCUPANCY)
-        link = self.down_links[cluster // net.clusters_per_tree]
-        begin = link.acquire(start, net.tree_occupancy)
-        return begin + net.one_way_latency
-
-
-def _tallies(net):
-    resources = net.up_links.members + net.down_links.members + [net.crossbar]
-    return [(r.acquisitions, r.total_busy) for r in resources]
-
-
-class TestInlinedAcquire:
-    """``to_l3``/``to_cluster`` inline ``Resource.acquire``; they must
-    agree with the general method on every call, saturated or not."""
-
-    @settings(max_examples=30, deadline=None)
-    # 1,280 messages at one instant: past the crossbar's 512 per bucket.
-    @example(rate=4.0, calls=[(c, 0.0, c % 4 == 0, 40) for c in range(32)])
-    # Each link message fills a whole bucket: the links saturate at once.
-    @example(rate=1.0 / 32.0, calls=[(0, 0.0, True, 40), (17, 3.0, False, 40)])
-    @given(rate=st.sampled_from([1.0 / 32.0, 0.125, 1.0, 4.0]),
-           calls=st.lists(st.tuples(st.integers(0, 31),
-                                    st.floats(0.0, 64.0),
-                                    st.booleans(),
-                                    st.integers(1, 256)),
-                          min_size=1, max_size=40))
-    def test_matches_general_acquire(self, rate, calls):
-        net = Network(MachineConfig().scaled(32, tree_msgs_per_cycle=rate))
-        ref = _ReferenceNetwork(net)
-        for cluster, now, up, repeat in calls:
-            for _ in range(repeat):
-                if up:
-                    assert net.to_l3(cluster, now) == ref.to_l3(cluster, now)
-                else:
-                    assert (net.to_cluster(cluster, now)
-                            == ref.to_cluster(cluster, now))
-                assert _tallies(net) == _tallies(ref)
+    def test_workload_runs_slower(self):
+        exp = ExperimentConfig(n_clusters=4, scale=0.1)
+        fast, _ = run_workload("heat", Policy.cohesion(), exp)
+        slow, _ = run_workload("heat", Policy.cohesion(), exp,
+                               tree_msgs_per_cycle=self.RATE)
+        assert slow.cycles > fast.cycles
 
 
 class TestDram:

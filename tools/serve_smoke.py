@@ -9,7 +9,9 @@ service-level contract end to end:
    the server's execution counter reads 1);
 2. a warm re-submission answers ``hit`` within the 10 ms server-side
    budget;
-3. SIGTERM drains gracefully (clean exit, "drained cleanly" on stderr).
+3. a cell with an invalid machine-config override is a 400 at decode,
+   never a failed job (the final ``/stats`` ``failed`` count is 0);
+4. SIGTERM drains gracefully (clean exit, "drained cleanly" on stderr).
 
 Writes the final ``/stats`` snapshot to ``--stats-out`` for upload as a
 CI artifact. Exits nonzero with a named reason on any violation.
@@ -122,14 +124,24 @@ def main() -> int:
                      f"(budget {WARM_HIT_BUDGET_MS}ms)")
             print(f"serve-smoke: warm hit in {record['latency_ms']}ms")
 
+            # 3. A bad override is rejected at decode, not in a worker.
+            status, record = client.submit_cell(
+                {**CELL, "config": {"l2_ports": 0}})
+            if status != 400 or "l2_ports" not in (record["error"] or ""):
+                fail(f"bad override answered {status}/{record!r}")
+            print("serve-smoke: bad override rejected with 400")
+
             # Snapshot /stats for the artifact before shutting down.
             stats = client.stats()
+            failed = stats["serve"]["counters"]["failed"]
+            if failed != 0:
+                fail(f"failed counter is {failed}, not 0")
             out = pathlib.Path(args.stats_out)
             out.parent.mkdir(parents=True, exist_ok=True)
             out.write_text(json.dumps(stats, indent=2) + "\n")
             print(f"serve-smoke: stats snapshot written to {out}")
 
-            # 3. SIGTERM drains gracefully.
+            # 4. SIGTERM drains gracefully.
             process.send_signal(signal.SIGTERM)
             try:
                 process.wait(60)
