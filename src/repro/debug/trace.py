@@ -8,11 +8,9 @@ verification check reports a stale value: the trace shows exactly which
 core wrote what, when it was flushed, and who invalidated it.
 
 The tracer subscribes to the machine's observability bus
-(:mod:`repro.obs`) rather than wrapping methods: the simulator's emit
-hooks fire on *every* execution path, including the interpreter's
-inlined L1-hit fast paths and batched same-line hit runs that bypass
-:meth:`Cluster.load` entirely, so an attached tracer can never silently
-miss events the way method wrapping could. Detach is idempotent, and
+(:mod:`repro.obs`) rather than wrapping methods: every executed op
+reaches the :class:`Cluster` method that emits its event, so an
+attached tracer sees each op once. Detach is idempotent, and
 because nothing is monkey-patched there is no stale-restore hazard when
 other tools (e.g. the model checker's mutation harness) replace methods
 while a tracer is attached.

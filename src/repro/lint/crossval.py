@@ -8,8 +8,7 @@ oracle attached* and packaging the evidence:
   barrier (subscribed to the machine's observability bus, so it fires
   at the release point of every phase);
 * a :class:`~repro.debug.LineTracer` records every protocol event on the
-  flagged lines -- including ops consumed by the interpreter's inlined
-  fast paths, which the bus's emit hooks cover -- so a confirmed
+  flagged lines -- every executed op emits one -- so a confirmed
   staleness bug comes with the exact store/flush/invalidate
   interleaving that produced it;
 * on ``track_data`` machines, checked loads and the end-of-run

@@ -111,17 +111,6 @@ class Cache:
         """Lookup without touching LRU state or hit/miss counters."""
         return self.sets[line % self.n_sets].get(line)
 
-    def touch(self, entry: CacheLine) -> None:
-        """Count a hit on ``entry`` and refresh its LRU age.
-
-        Fast-path companion to :meth:`peek`: callers that located the
-        entry themselves (e.g. the executor's inlined L1-hit path) call
-        this to leave exactly the state :meth:`lookup` would have left.
-        """
-        self._tick += 1
-        entry.lru = self._tick
-        self.hits += 1
-
     def discard(self, line: int) -> None:
         """Remove ``line`` if present, without returning it.
 

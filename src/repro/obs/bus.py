@@ -1,16 +1,15 @@
 """The central observability event bus.
 
-Every protocol-visible action in the simulator -- core memory operations
-(including the interpreter's inlined fast paths), directory allocations
-and evictions, coherence-domain transitions, network sends, DRAM
-accesses, and phase barriers -- is announced on one machine-wide
-:class:`EventBus` through an *explicit* ``emit`` hook at the site where
-the action happens. Observation tools (the
+Every protocol-visible action in the simulator -- core memory
+operations (each announced by the ``Cluster`` method that runs it),
+directory allocations and evictions, coherence-domain transitions,
+network sends, DRAM accesses, and phase barriers -- is announced on one
+machine-wide :class:`EventBus` through an *explicit* ``emit`` hook at
+the site where the action happens. Observation tools (the
 :class:`~repro.debug.trace.LineTracer`, the barrier invariant checker,
 metrics samplers, the Chrome-trace exporter) subscribe to the bus
-instead of wrapping methods, so adding a new interpreter fast path can
-never again silently blind them: the fast path either emits, or the
-fast-path regression test (tests/obs) fails.
+instead of wrapping methods; tests/obs/test_emit_hooks.py pins one
+event per executed op.
 
 Hot-path contract
 -----------------

@@ -24,9 +24,8 @@ import heapq
 from typing import List, Set
 
 from repro.errors import SimulationError
-from repro.mem.address import (LINE_BYTES, LINE_SHIFT, WORD_SHIFT,
-                               WORDS_PER_LINE)
-from repro.obs.bus import EV_BARRIER, EV_IFETCH, EV_LOAD, ObsEvent
+from repro.mem.address import LINE_BYTES, LINE_SHIFT
+from repro.obs.bus import EV_BARRIER, ObsEvent
 from repro.runtime.program import FrozenPhase, freeze_phase
 from repro.sim.stats import RunStats, collect_stats
 from repro.types import (OP_ATOMIC, OP_BARRIER, OP_COMPUTE, OP_IFETCH,
@@ -45,14 +44,13 @@ def _add(old: int, operand: int) -> int:
 
 
 class _CoreState:
-    __slots__ = ("ops", "ip", "inputs", "stage", "stack_cursor")
+    __slots__ = ("ops", "ip", "inputs", "stage")
 
     def __init__(self) -> None:
         self.ops: List[tuple] = []
         self.ip = 0
         self.inputs: Set[int] = set()
         self.stage = _STAGE_TASKS
-        self.stack_cursor = 0
 
 
 class BspExecutor:
@@ -89,6 +87,8 @@ class BspExecutor:
         # One ifetch-op prefix per distinct (code_addr, code_lines):
         # every task of a phase shares it, so build it once.
         self._code_prefix: dict = {}
+        #: Per-core byte offset of the next stack-frame word.
+        self._stack_cursors: List[int] = [0] * machine.config.n_cores
         self._obs = machine.obs
 
     # -- public -----------------------------------------------------------
@@ -230,101 +230,32 @@ class BspExecutor:
                        state: _CoreState, now: float) -> float:
         """Execute up to ``ops_per_slice`` ops of one core's stream.
 
-        This is the simulator's innermost loop, so the dominant op kinds
-        (loads, ifetches) carry inlined L1-hit fast paths: the entry is
-        located with one dict probe and, on a hit, the LRU/counter
-        update (:meth:`Cache.touch`) plus the fixed one-cycle L1 cost
-        are applied without entering the cluster's miss machinery.
-        Consecutive loads that hit the *same* L1 line are consumed in a
-        nested batch loop with no per-op dispatch at all. Both paths
-        leave state and timing bit-identical to calling
-        :meth:`Cluster.load`/:meth:`Cluster.ifetch` per op (see
-        docs/performance.md for the invariants that keep this true).
+        A plain dispatcher: every memory op calls the matching
+        :class:`~repro.sim.cluster.Cluster` method, the same methods the
+        model checker's actions call, so the executor runs no cache
+        logic and emits no op events of its own.
         """
         ops = state.ops
         ip = state.ip
         start_ip = ip
         end = min(len(ops), ip + self.ops_per_slice)
-        # The inlined fast paths below bypass Cluster.load/ifetch, so
-        # they carry their own emit hooks: every op the batch loop
-        # consumes announces itself exactly as the cluster methods
-        # would (the tests/obs fast-path regression pins this).
-        obs = self._obs
-        obs_active = obs.active
         check_loads = self._check_loads
         mismatches = self.load_mismatches
-        l1 = cluster.l1d[local]
-        l1_sets = l1.sets
-        l1_nsets = l1.n_sets
-        l1i = cluster.l1i[local]
-        word_mask = WORDS_PER_LINE - 1
         while ip < end:
             op = ops[ip]
             kind = op[0]
             if kind == OP_LOAD:
-                addr = op[1]
-                line = addr >> LINE_SHIFT
-                e1 = l1_sets[line % l1_nsets].get(line)
-                if e1 is not None and \
-                        (e1.valid_mask >> ((addr >> WORD_SHIFT) & word_mask)) & 1:
-                    # Batched same-line hit run. The LRU tick and hit
-                    # counter are applied once for the whole run: n
-                    # consecutive touches of one entry leave exactly
-                    # tick+n with the entry's age at the final tick, and
-                    # no other access can observe the intermediate ticks.
-                    run = 0
-                    while True:
-                        run += 1
-                        if obs_active:
-                            word = (addr >> WORD_SHIFT) & word_mask
-                            obs.emit(ObsEvent(
-                                now, EV_LOAD, cluster.id, local, line,
-                                addr,
-                                e1.data[word] if e1.data is not None else 0,
-                                1.0))
-                        now += 1
-                        if check_loads and len(op) > 2:
-                            word = (addr >> WORD_SHIFT) & word_mask
-                            value = e1.data[word] if e1.data is not None else 0
-                            if value != op[2] and len(mismatches) < 100:
-                                mismatches.append((addr, op[2], value))
-                        ip += 1
-                        if ip >= end:
-                            break
-                        op = ops[ip]
-                        if op[0] != OP_LOAD:
-                            break
-                        addr = op[1]
-                        if (addr >> LINE_SHIFT) != line or not \
-                                ((e1.valid_mask >> ((addr >> WORD_SHIFT)
-                                                    & word_mask)) & 1):
-                            break
-                    tick = l1._tick + run
-                    l1._tick = tick
-                    e1.lru = tick
-                    l1.hits += run
-                    continue
-                now, value = cluster.load(local, addr, now)
+                now, value = cluster.load(local, op[1], now)
                 if len(op) > 2 and check_loads and value != op[2]:
                     if len(mismatches) < 100:
-                        mismatches.append((addr, op[2], value))
+                        mismatches.append((op[1], op[2], value))
             elif kind == OP_STORE:
                 value = op[2] if len(op) > 2 else 0
                 now = cluster.store(local, op[1], value, now)
             elif kind == OP_COMPUTE:
                 now += op[1]
             elif kind == OP_IFETCH:
-                addr = op[1]
-                line = addr >> LINE_SHIFT
-                e1 = l1i.sets[line % l1i.n_sets].get(line)
-                if e1 is not None:
-                    l1i.touch(e1)
-                    if obs_active:
-                        obs.emit(ObsEvent(now, EV_IFETCH, cluster.id, local,
-                                          line, addr, None, 1.0))
-                    now += 1
-                else:
-                    now = cluster.ifetch(local, addr, now)
+                now = cluster.ifetch(local, op[1], now)
             elif kind == OP_ATOMIC:
                 operand = op[2] if len(op) > 2 else 1
                 now, _v = cluster.atomic(local, op[1], _add, operand, now)
@@ -342,12 +273,3 @@ class BspExecutor:
         self.ops_executed += ip - start_ip
         self.machine.core_clocks[core] = now
         return now
-
-    # stack cursors are created lazily per executor (one slot per core)
-    @property
-    def _stack_cursors(self) -> List[int]:
-        cursors = getattr(self, "_stack_cursor_list", None)
-        if cursors is None:
-            cursors = [0] * self.machine.config.n_cores
-            self._stack_cursor_list = cursors
-        return cursors

@@ -33,6 +33,7 @@ compare byte-identical on ``result``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import List, Optional
 
 from repro.analysis.parallel import Cell
@@ -112,8 +113,8 @@ def decode_cell(obj) -> Cell:
     if clusters < 1:
         raise WireError("cell field 'clusters' must be >= 1")
     scale = _require(obj, "scale", float, default=1.0)
-    if not scale > 0:
-        raise WireError("cell field 'scale' must be > 0")
+    if not 0 < scale < math.inf:
+        raise WireError("cell field 'scale' must be finite and > 0")
     ops_per_slice = _require(obj, "ops_per_slice", int, default=8)
     if ops_per_slice < 1:
         raise WireError("cell field 'ops_per_slice' must be >= 1")
@@ -131,21 +132,24 @@ def decode_cell(obj) -> Cell:
                 f"machine-config override {key!r} must be a scalar")
         extra[key] = value
 
-    policy = policy_from_name(
-        policy_name,
-        _require(obj, "dir_entries", int, default=16 * 1024),
-        _require(obj, "dir_assoc", int, default=128))
+    dir_entries = _require(obj, "dir_entries", int, default=16 * 1024)
+    dir_assoc = _require(obj, "dir_assoc", int, default=128)
     exp = ExperimentConfig(
         n_clusters=clusters,
         scale=scale,
         track_data=_require(obj, "track_data", bool, default=False),
         seed=_require(obj, "seed", int, default=1234),
         ops_per_slice=ops_per_slice)
-    # Build the machine now: a bad override is the client's 400 here,
-    # not a failed job in the worker. The bare machine is built first so
-    # a bad cluster count is not blamed on the overrides.
-    blamed = "'clusters'"
+    # Build the policy and the machine now: a bad directory size or
+    # override is the client's 400 here, not a failed job in the worker.
+    # Each step blames only its own fields: the policy the directory
+    # fields the cell set (the defaults are valid), the bare machine the
+    # cluster count, and the overrides last.
+    blamed = ", ".join(repr(name) for name in ("dir_entries", "dir_assoc")
+                       if name in obj)
     try:
+        policy = policy_from_name(policy_name, dir_entries, dir_assoc)
+        blamed = "'clusters'"
         exp.machine_config()
         if extra:
             blamed = ", ".join(map(repr, extra))

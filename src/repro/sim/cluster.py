@@ -141,14 +141,8 @@ class Cluster:
         """
         present = self._l1_present
         present.clear()
-        for cache in self.l1d:
-            sets = cache.sets
-            for index in cache._occupied:
-                present.update(sets[index])
-        for cache in self.l1i:
-            sets = cache.sets
-            for index in cache._occupied:
-                present.update(sets[index])
+        for cache in (*self.l1d, *self.l1i):
+            present.update(entry.line for entry in cache.lines())
 
     def _fill_l1(self, l1: Cache, entry: CacheLine) -> None:
         """Install an L2 line's current contents into a core's L1.
@@ -163,53 +157,6 @@ class Cluster:
             self._l1_compact()
         present.add(entry.line)
         copy = l1.fill(entry.line, entry.valid_mask)
-        if copy.data is not None and entry.data is not None:
-            copy.data[:] = entry.data
-
-    def _fill_l1_at(self, l1: Cache, bucket: dict,
-                    existing: Optional[CacheLine],
-                    entry: CacheLine) -> None:
-        """:meth:`_fill_l1` with the L1 set and its probe in hand.
-
-        ``bucket``/``existing`` are the set dict and resident entry the
-        caller already probed for ``entry.line``; the body is
-        :meth:`Cache.fill` minus that probe, leaving identical counter,
-        LRU, recycling and ``_occupied`` state.
-        """
-        line = entry.line
-        present = self._l1_present
-        if len(present) >= self._l1_compact_at:
-            self._l1_compact()
-        present.add(line)
-        l1._tick += 1
-        if existing is not None:
-            existing.valid_mask |= entry.valid_mask
-            existing.incoherent = False
-            existing.lru = l1._tick
-            copy = existing
-        else:
-            if len(bucket) >= l1.assoc:
-                victim_line = -1
-                best = None
-                for ln, resident in bucket.items():
-                    lru = resident.lru
-                    if best is None or lru < best:
-                        best = lru
-                        victim_line = ln
-                copy = bucket.pop(victim_line)
-                l1.evictions += 1
-                copy.line = line
-                copy.valid_mask = entry.valid_mask
-                copy.dirty_mask = 0
-                copy.incoherent = False
-                if copy.data is not None:
-                    copy.data[:] = (0,) * WORDS_PER_LINE
-            else:
-                data = [0] * WORDS_PER_LINE if l1.track_data else None
-                copy = CacheLine(line, entry.valid_mask, 0, False, data)
-            copy.lru = l1._tick
-            bucket[line] = copy
-            l1._occupied[line % l1.n_sets] = None
         if copy.data is not None and entry.data is not None:
             copy.data[:] = entry.data
 
@@ -267,27 +214,18 @@ class Cluster:
         word = (addr >> WORD_SHIFT) & (WORDS_PER_LINE - 1)
         bit = 1 << word
         l1 = self.l1d[core]
-        # L1-hit fast path: inlined Cache.lookup (same counters, same
-        # LRU touch) so the per-op interpreter's dominant case pays one
-        # dict probe and no further calls. The bucket reference is kept:
-        # the miss path's L1 fill below reuses it instead of re-probing.
-        l1bucket = l1.sets[line % l1.n_sets]
-        e1 = l1bucket.get(line)
-        if e1 is not None:
-            l1.touch(e1)
-            if e1.valid_mask & bit:
-                value = e1.data[word] if e1.data is not None else 0
-                obs = self.obs
-                if obs.active:
-                    obs.emit(ObsEvent(now, EV_LOAD, self.id, core, line,
-                                      addr, value, 1.0))
-                return now + 1, value
-        else:
-            l1.misses += 1
+        e1 = l1.lookup(line)
+        if e1 is not None and e1.valid_mask & bit:
+            value = e1.data[word] if e1.data is not None else 0
+            obs = self.obs
+            if obs.active:
+                obs.emit(ObsEvent(now, EV_LOAD, self.id, core, line,
+                                  addr, value, 1.0))
+            return now + 1, value
         t = self._l2_start(now)
         entry = self.l2.lookup(line)
         if entry is not None and entry.valid_mask & bit:
-            self._fill_l1_at(l1, l1bucket, e1, entry)
+            self._fill_l1(l1, entry)
             value = entry.data[word] if entry.data is not None else 0
             obs = self.obs
             if obs.active:
@@ -298,7 +236,7 @@ class Cluster:
             raise ProtocolError(f"partially valid coherent line {line:#x}")
         reply = self.memsys.read_line(self.id, line, t)
         entry = self._install(line, reply, keep=entry)
-        self._fill_l1_at(l1, l1bucket, e1, entry)
+        self._fill_l1(l1, entry)
         value = entry.data[word] if entry.data is not None else 0
         obs = self.obs
         if obs.active:
@@ -315,27 +253,17 @@ class Cluster:
         if obs.active:
             obs.emit(ObsEvent(now, EV_STORE, self.id, core, line, addr, value))
         l1d = self.l1d
-        l1 = l1d[core]
-        index = line % l1.n_sets
-        e1 = l1.sets[index].get(line)
+        e1 = l1d[core].peek(line)
         if e1 is not None and e1.data is not None:
             e1.data[word] = value  # write-through keeps the L1 copy fresh
         # Sibling cores' L1 copies go stale: the cluster bus invalidates
-        # them (write-through L1s snoop the shared L2's write lane).
-        # Inlined Cache.discard: every store scans all siblings, and the
-        # line is almost always absent, so the membership probe is the
-        # whole cost. All per-core L1Ds share one geometry, so ``index``
-        # is computed once, and the whole scan is skipped when the
-        # cluster-wide L1 superset proves no copy exists.
+        # them (write-through L1s snoop the shared L2's write lane). The
+        # scan is skipped when the cluster-wide L1 superset proves no
+        # copy exists.
         if line in self._l1_present:
             for sibling in range(self.n_cores):
                 if sibling != core:
-                    cache = l1d[sibling]
-                    bucket = cache.sets[index]
-                    if line in bucket:
-                        del bucket[line]
-                        if not bucket:
-                            cache._occupied.pop(index, None)
+                    l1d[sibling].discard(line)
         t = self._l2_start(now)
         entry = self.l2.lookup(line)
         if entry is not None:
@@ -374,17 +302,12 @@ class Cluster:
         """Instruction fetch through the core's L1I."""
         line = addr >> LINE_SHIFT
         l1 = self.l1i[core]
-        # Inlined lookup, as in :meth:`load`: the same code line is
-        # fetched by every op of a task, so this hit path dominates.
-        e1 = l1.sets[line % l1.n_sets].get(line)
-        if e1 is not None:
-            l1.touch(e1)
+        if l1.lookup(line) is not None:
             obs = self.obs
             if obs.active:
                 obs.emit(ObsEvent(now, EV_IFETCH, self.id, core, line,
                                   addr, None, 1.0))
             return now + 1
-        l1.misses += 1
         t = self._l2_start(now)
         entry = self.l2.lookup(line)
         if entry is None:

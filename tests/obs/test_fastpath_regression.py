@@ -1,11 +1,10 @@
-"""Fast paths must emit the same event stream as the slow path.
+"""The event stream does not depend on the scheduler's slice size.
 
-The interpreter's inlined L1-hit fast paths and batched same-line hit
-runs bypass :meth:`Cluster.load` entirely; before the bus-based emit
-hooks they were invisible to any attached tracer. These tests pin the
-contract: the observed event stream is independent of ``ops_per_slice``
-(which controls how much batching the interpreter can do), so no fast
-path can silently swallow events again.
+``ops_per_slice`` sets how many ops a core runs before the executor
+re-picks the earliest core. It changes the interleaving of cores, not
+what any one core's ops announce: these tests run programs with long
+same-line load runs at several slice sizes and pin that each op still
+emits exactly one event, with the same kind, line, address and value.
 """
 
 from collections import Counter

@@ -114,6 +114,27 @@ class TestSubmission:
         assert records[1]["status"] == "failed"
         assert "unknown workload" in records[1]["error"]
 
+    def test_bad_directory_fails_only_its_own_record(self, live):
+        client = live.client()
+        client.timeout_s = 60.0  # the batch must be answered, not hang
+        status, records = client.submit_cells(
+            [TINY, {**TINY, "dir_assoc": 0}])
+        assert status == 200 and len(records) == 2
+        assert records[0]["status"] in ("executed", "hit")
+        assert records[1]["status"] == "failed"
+        assert records[1]["fingerprint"] is None
+        assert "'dir_assoc'" in records[1]["error"]
+        status, record = client.submit_cell({**TINY, "dir_assoc": 0})
+        assert status == 400 and "'dir_assoc'" in record["error"]
+
+    def test_infinite_scale_is_400(self, live):
+        # json.dumps writes float("inf") as the bare token Infinity,
+        # which the server's json.loads accepts.
+        status, record = live.client().submit_cell(
+            {**TINY, "scale": float("inf")})
+        assert status == 400 and "'scale'" in record["error"]
+        assert live.client().stats()["serve"]["counters"]["failed"] == 0
+
     def test_stats_shape(self, live):
         live.client().submit_cell(TINY)
         doc = live.client().stats()

@@ -69,6 +69,11 @@ class TestDecodeCell:
         ({"config": {"tree_msgs_per_cycle": 1e-9}}, "tree_msgs_per_cycle"),
         ({"config": {"memory_bw_gbps": 1e-9}}, "memory_bw_gbps"),
         ({"config": {"memory_bw_gbps": 10 ** 400}}, "memory_bw_gbps"),
+        ({"dir_assoc": 0}, r"\('dir_assoc'\)"),
+        ({"dir_entries": 0}, r"\('dir_entries'\)"),
+        ({"dir_entries": -5}, r"\('dir_entries'\)"),
+        ({"dir_entries": 100}, r"\('dir_entries'\)"),
+        ({"scale": float("inf")}, "scale"),
     ])
     def test_bad_cells_name_the_field(self, patch, needle):
         with pytest.raises(WireError, match=needle):

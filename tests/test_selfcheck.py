@@ -25,147 +25,6 @@ class TestTreeIsClean:
         assert "0 finding(s)" in proc.stdout
 
 
-def fake_tree(tmp_path, cluster_src, executor_src):
-    root = tmp_path / "src" / "repro"
-    (root / "sim").mkdir(parents=True)
-    (root / "runtime").mkdir(parents=True)
-    (root / "sim" / "cluster.py").write_text(textwrap.dedent(cluster_src))
-    (root / "runtime" / "executor.py").write_text(
-        textwrap.dedent(executor_src))
-    return root
-
-
-GOOD_CLUSTER = """
-    class Cluster:
-        def load(self, addr):
-            if obs.active:
-                obs.emit(ObsEvent(0, EV_LOAD, addr))
-        def store(self, addr):
-            if obs.active:
-                obs.emit(ObsEvent(0, EV_STORE, addr))
-        def ifetch(self, addr):
-            if obs.active:
-                obs.emit(ObsEvent(0, EV_IFETCH, addr))
-        def atomic(self, addr):
-            if obs.active:
-                obs.emit(ObsEvent(0, EV_ATOMIC, addr))
-        def flush_line(self, line):
-            if obs.active:
-                obs.emit(ObsEvent(0, EV_FLUSH, line))
-        def invalidate_line(self, line):
-            if obs.active:
-                obs.emit(ObsEvent(0, EV_INV, line))
-"""
-
-GOOD_EXECUTOR = """
-    class BspExecutor:
-        def _execute_slice(self, cluster, ops, obs_active):
-            for op in ops:
-                kind = op[0]
-                if kind == OP_LOAD:
-                    entry = self.l1_sets.get(op[1])
-                    if entry is None:
-                        cluster.load(op[1])
-                    elif obs_active:
-                        obs.emit(ObsEvent(0, EV_LOAD, op[1]))
-                elif kind == OP_STORE:
-                    cluster.store(op[1])
-                elif kind == OP_IFETCH:
-                    cluster.ifetch(op[1])
-                elif kind == OP_ATOMIC:
-                    cluster.atomic(op[1])
-                elif kind == OP_WB:
-                    cluster.flush_line(op[1])
-                elif kind == OP_INV:
-                    cluster.invalidate_line(op[1])
-"""
-
-
-class TestS001EmitHooks:
-    def test_well_formed_tree_passes(self, tmp_path):
-        root = fake_tree(tmp_path, GOOD_CLUSTER, GOOD_EXECUTOR)
-        assert selfcheck.check_emit_hooks(root) == []
-
-    def test_cluster_method_losing_its_emit_flagged(self, tmp_path):
-        broken = GOOD_CLUSTER.replace(
-            """\
-        def store(self, addr):
-            if obs.active:
-                obs.emit(ObsEvent(0, EV_STORE, addr))
-""",
-            """\
-        def store(self, addr):
-            pass
-""")
-        root = fake_tree(tmp_path, broken, GOOD_EXECUTOR)
-        findings = selfcheck.check_emit_hooks(root)
-        assert any("Cluster.store" in f.message and "EV_STORE" in f.message
-                   for f in findings)
-
-    def test_unguarded_emit_flagged(self, tmp_path):
-        broken = GOOD_CLUSTER.replace(
-            """\
-            if obs.active:
-                obs.emit(ObsEvent(0, EV_FLUSH, line))
-""",
-            """\
-            obs.emit(ObsEvent(0, EV_FLUSH, line))
-""")
-        root = fake_tree(tmp_path, broken, GOOD_EXECUTOR)
-        findings = selfcheck.check_emit_hooks(root)
-        assert any("not guarded" in f.message for f in findings)
-
-    def test_fast_path_dropping_its_hook_flagged(self, tmp_path):
-        # Inline the load against the hoisted L1 sets but forget the
-        # EV_LOAD emit: inlined ops would vanish from the bus.
-        broken = GOOD_EXECUTOR.replace(
-            """\
-                if kind == OP_LOAD:
-                    entry = self.l1_sets.get(op[1])
-                    if entry is None:
-                        cluster.load(op[1])
-                    elif obs_active:
-                        obs.emit(ObsEvent(0, EV_LOAD, op[1]))
-""",
-            """\
-                if kind == OP_LOAD:
-                    entry = self.l1_sets.get(op[1])
-                    if entry is None:
-                        cluster.load(op[1])
-""")
-        root = fake_tree(tmp_path, GOOD_CLUSTER, broken)
-        findings = selfcheck.check_emit_hooks(root)
-        assert any(f.rule == "S001" and "OP_LOAD" in f.message
-                   and "EV_LOAD" in f.message for f in findings)
-
-    def test_branch_bypassing_cluster_without_hook_flagged(self, tmp_path):
-        broken = GOOD_EXECUTOR.replace("cluster.store(op[1])", "pass")
-        root = fake_tree(tmp_path, GOOD_CLUSTER, broken)
-        findings = selfcheck.check_emit_hooks(root)
-        assert any("OP_STORE" in f.message and "cluster.store" in f.message
-                   for f in findings)
-
-    def test_dispatch_outside_execute_slice_flagged(self, tmp_path):
-        # The rule anchors on BspExecutor._execute_slice alone: a dispatch
-        # moved into any other method is no longer pinned, so it is
-        # reported rather than silently skipped.
-        moved = GOOD_EXECUTOR.replace("_execute_slice", "_bind_slice")
-        root = fake_tree(tmp_path, GOOD_CLUSTER, moved)
-        findings = selfcheck.check_emit_hooks(root)
-        assert any(f.rule == "S001" and "_execute_slice missing" in f.message
-                   for f in findings)
-
-    def test_missing_dispatch_branch_flagged(self, tmp_path):
-        broken = GOOD_EXECUTOR.replace(
-            """\
-                elif kind == OP_INV:
-                    cluster.invalidate_line(op[1])
-""", "")
-        root = fake_tree(tmp_path, GOOD_CLUSTER, broken)
-        findings = selfcheck.check_emit_hooks(root)
-        assert any("OP_INV" in f.message for f in findings)
-
-
 class TestS002MeasuredPaths:
     def scan(self, body):
         return selfcheck.scan_measured_path(textwrap.dedent(body), "mod.py")

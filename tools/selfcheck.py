@@ -5,19 +5,8 @@ The repository relies on two source-level invariants that ordinary tests
 can only probe pointwise, because both are about *code shape* rather
 than behaviour:
 
-S001  emit-hook preservation (docs/performance.md): every inlined fast
-      path in ``BspExecutor._execute_slice`` must announce the ops it
-      consumes on the observability bus exactly as the ``Cluster``
-      method it bypasses would -- otherwise tracers, the barrier
-      invariant checker, and the metrics aggregator silently go blind
-      on the hottest ops. Concretely: (a) each canonical ``Cluster``
-      handler carries a guarded ``obs.emit`` with its event constant,
-      (b) each ``kind == OP_*`` dispatch branch either delegates to the
-      matching cluster method or, when it touches cache internals
-      directly (a fast path), also references the matching ``EV_*``
-      constant, and (c) every ``obs.emit`` in both files sits under an
-      ``obs.active``/``obs_active`` guard so the quiescent bus costs
-      one attribute probe.
+S001  retired with the executor's inlined hit paths it checked; the
+      number is not reused.
 
 S002  deterministic measured paths: simulation/analysis code must not
       read wall clocks (``time.time``/``perf_counter``/...) or draw
@@ -61,28 +50,6 @@ from typing import Dict, List, Optional, Set
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
-
-#: Canonical Cluster handler -> the bus event constant it must emit.
-CLUSTER_HOOKS: Dict[str, str] = {
-    "load": "EV_LOAD",
-    "store": "EV_STORE",
-    "ifetch": "EV_IFETCH",
-    "atomic": "EV_ATOMIC",
-    "flush_line": "EV_FLUSH",
-    "invalidate_line": "EV_INV",
-}
-
-#: Executor dispatch op -> (delegate cluster method, event constant).
-#: OP_COMPUTE (pure clock advance) and OP_BARRIER (always raises) touch
-#: no memory and are exempt.
-DISPATCH_HOOKS: Dict[str, tuple] = {
-    "OP_LOAD": ("load", "EV_LOAD"),
-    "OP_STORE": ("store", "EV_STORE"),
-    "OP_IFETCH": ("ifetch", "EV_IFETCH"),
-    "OP_ATOMIC": ("atomic", "EV_ATOMIC"),
-    "OP_WB": ("flush_line", "EV_FLUSH"),
-    "OP_INV": ("invalidate_line", "EV_INV"),
-}
 
 #: Files (relative to src/repro) allowed to read wall clocks: host-side
 #: tooling whose own wall time is the measurement, never simulated state.
@@ -133,171 +100,6 @@ def _attr_chain(node: ast.AST) -> List[str]:
         parts.reverse()
         return parts
     return []
-
-
-def _names_in(node: ast.AST) -> Set[str]:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
-def _attrs_in(node: ast.AST) -> Set[str]:
-    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-
-
-def _find_class(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
-
-
-def _find_method(cls: ast.ClassDef, name: str) -> Optional[ast.FunctionDef]:
-    for node in cls.body:
-        if isinstance(node, ast.FunctionDef) and node.name == name:
-            return node
-    return None
-
-
-def _emit_calls(node: ast.AST) -> List[ast.Call]:
-    """Every ``*.emit(...)`` call under ``node``."""
-    calls = []
-    for sub in ast.walk(node):
-        if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "emit"):
-            calls.append(sub)
-    return calls
-
-
-def _guarded_emits_ok(func: ast.FunctionDef, rel: str,
-                      findings: List[Finding]) -> None:
-    """Every emit in ``func`` must sit under an active-bus guard."""
-    guarded: Set[int] = set()
-    for sub in ast.walk(func):
-        if not isinstance(sub, ast.If):
-            continue
-        test_ok = ("obs_active" in _names_in(sub.test)
-                   or "active" in _attrs_in(sub.test))
-        if not test_ok:
-            continue
-        for call in _emit_calls(sub):
-            guarded.add(id(call))
-    for call in _emit_calls(func):
-        if id(call) not in guarded:
-            findings.append(Finding(
-                "S001", rel, call.lineno,
-                f"{func.name}: obs.emit not guarded by an obs.active/"
-                "obs_active test (the quiescent bus must cost one "
-                "attribute probe)"))
-
-
-def check_emit_hooks(src_root: pathlib.Path = SRC_ROOT) -> List[Finding]:
-    """S001: fast paths preserve the cluster methods' emit hooks."""
-    findings: List[Finding] = []
-
-    cluster_path = src_root / "sim" / "cluster.py"
-    rel_cluster = str(cluster_path.relative_to(src_root.parent.parent))
-    tree = ast.parse(cluster_path.read_text())
-    cluster = _find_class(tree, "Cluster")
-    if cluster is None:
-        return [Finding("S001", rel_cluster, 1, "class Cluster not found")]
-    for method, ev in CLUSTER_HOOKS.items():
-        func = _find_method(cluster, method)
-        if func is None:
-            findings.append(Finding(
-                "S001", rel_cluster, cluster.lineno,
-                f"Cluster.{method} missing (canonical {ev} hook site)"))
-            continue
-        names = _names_in(func)
-        if ev not in names or not _emit_calls(func):
-            findings.append(Finding(
-                "S001", rel_cluster, func.lineno,
-                f"Cluster.{method} no longer emits {ev}; tracers and the "
-                "invariant checker would go blind on this op"))
-        _guarded_emits_ok(func, rel_cluster, findings)
-
-    _check_executor_dispatch(src_root / "runtime" / "executor.py",
-                             "BspExecutor", src_root, findings)
-    return findings
-
-
-def _check_executor_dispatch(exec_path: pathlib.Path, class_name: str,
-                             src_root: pathlib.Path,
-                             findings: List[Finding]) -> None:
-    """S001 for one executor class's ``_execute_slice`` dispatch."""
-    rel_exec = str(exec_path.relative_to(src_root.parent.parent))
-    tree = ast.parse(exec_path.read_text())
-    executor = _find_class(tree, class_name)
-    if executor is None:
-        findings.append(Finding("S001", rel_exec, 1,
-                                f"class {class_name} not found"))
-        return
-    for func in (node for node in executor.body
-                 if isinstance(node, ast.FunctionDef)):
-        _guarded_emits_ok(func, rel_exec, findings)
-    slice_fn = _find_method(executor, "_execute_slice")
-    if slice_fn is None:
-        findings.append(Finding(
-            "S001", rel_exec, executor.lineno,
-            f"{class_name}._execute_slice missing; the op dispatch the "
-            "emit-hook rule pins is gone"))
-        return
-
-    seen_ops: Set[str] = set()
-    for node in ast.walk(slice_fn):
-        if not isinstance(node, ast.If):
-            continue
-        op = _dispatch_op(node.test)
-        if op is None or op not in DISPATCH_HOOKS:
-            continue
-        seen_ops.add(op)
-        delegate, ev = DISPATCH_HOOKS[op]
-        branch = ast.Module(body=node.body, type_ignores=[])
-        delegates = any(
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Attribute)
-            and sub.func.attr == delegate
-            and isinstance(sub.func.value, ast.Name)
-            and sub.func.value.id == "cluster"
-            for sub in ast.walk(branch))
-        names = _names_in(branch)
-        attrs = _attrs_in(branch)
-        # A branch "fast-paths" when it reads cache internals directly
-        # instead of going through the cluster: the hoisted l1 set dict
-        # or any .sets probe (either may be a local name or an
-        # attribute, depending on how the hoist is written).
-        fast = ("l1_sets" in names or "l1_sets" in attrs
-                or "sets" in attrs)
-        if fast and ev not in names:
-            findings.append(Finding(
-                "S001", rel_exec, node.lineno,
-                f"{op} branch fast-paths past Cluster.{delegate} without "
-                f"referencing {ev}: inlined ops would vanish from the "
-                "observability bus (docs/performance.md)"))
-        elif not fast and not delegates:
-            findings.append(Finding(
-                "S001", rel_exec, node.lineno,
-                f"{op} branch neither delegates to cluster.{delegate} "
-                f"nor carries its own {ev} fast-path hook"))
-    for op in DISPATCH_HOOKS:
-        if op not in seen_ops:
-            findings.append(Finding(
-                "S001", rel_exec, slice_fn.lineno,
-                f"_execute_slice has no ``kind == {op}`` dispatch branch "
-                "(rule map out of date with the op set?)"))
-
-
-def _dispatch_op(test: ast.AST) -> Optional[str]:
-    """``kind == OP_X`` -> "OP_X" (either comparison order)."""
-    if not (isinstance(test, ast.Compare) and len(test.ops) == 1
-            and isinstance(test.ops[0], ast.Eq)):
-        return None
-    sides = [test.left, test.comparators[0]]
-    names = [s.id for s in sides if isinstance(s, ast.Name)]
-    if "kind" not in names:
-        return None
-    for name in names:
-        if name.startswith("OP_"):
-            return name
-    return None
 
 
 def scan_measured_path(source: str, rel: str) -> List[Finding]:
@@ -507,15 +309,13 @@ def check_footprint_table(src_root: pathlib.Path = SRC_ROOT) -> List[Finding]:
 
 
 def run_all(src_root: pathlib.Path = SRC_ROOT) -> List[Finding]:
-    return (check_emit_hooks(src_root) + check_measured_paths(src_root)
-            + check_footprint_table(src_root))
+    return check_measured_paths(src_root) + check_footprint_table(src_root)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="repo-invariant meta-lint (S001 emit hooks, "
-                    "S002 deterministic measured paths, "
-                    "S003 footprint-table coverage)")
+        description="repo-invariant meta-lint (S002 deterministic "
+                    "paths, S003 footprint table)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
     args = parser.parse_args(argv)
