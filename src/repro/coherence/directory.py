@@ -97,6 +97,10 @@ class DirectoryEntry:
                 f"sharers={self.sharers:#x}, bcast={self.broadcast})")
 
 
+_ZERO_WEIGHTED = {klass: 0.0 for klass in SegmentClass}
+_ZERO_COUNTS = {klass: 0 for klass in SegmentClass}
+
+
 class _Occupancy:
     """Time-weighted entry-count accounting for one bank (Figure 9c)."""
 
@@ -106,9 +110,9 @@ class _Occupancy:
     def __init__(self) -> None:
         self.last_time = 0.0
         self.weighted = 0.0
-        self.weighted_by_class = {klass: 0.0 for klass in SegmentClass}
+        self.weighted_by_class = _ZERO_WEIGHTED.copy()
         self.count = 0
-        self.count_by_class = {klass: 0 for klass in SegmentClass}
+        self.count_by_class = _ZERO_COUNTS.copy()
         self.max_count = 0
 
     def advance(self, now: float) -> None:

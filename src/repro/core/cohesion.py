@@ -32,7 +32,8 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig, Policy
-from repro.coherence.directory import DIR_M, DIR_S, BaseDirectory, build_directory
+from repro.coherence.directory import (DIR_M, DIR_S, BaseDirectory,
+                                      _Occupancy, build_directory)
 from repro.coherence.messages import MessageCounters
 from repro.core.region_table import CoarseRegionTable, FineRegionTable
 from repro.errors import ProtocolError
@@ -92,7 +93,6 @@ class MemorySystem:
         self.dirs: List[BaseDirectory] = []
         self.dir_occupancy = None
         if policy.uses_directory:
-            from repro.coherence.directory import _Occupancy
             self.dirs = [build_directory(policy.directory,
                                          policy.dir_entries_per_bank,
                                          policy.dir_assoc)
@@ -153,7 +153,6 @@ class MemorySystem:
         for bank_dir, dir_snap in zip(self.dirs, snap["dirs"]):
             bank_dir.restore(dir_snap)
         if self.dirs:
-            from repro.coherence.directory import _Occupancy
             self.dir_occupancy = _Occupancy()
             for bank_dir in self.dirs:
                 bank_dir.global_occupancy = self.dir_occupancy

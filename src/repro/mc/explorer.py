@@ -32,6 +32,15 @@ only in when messages happened to queue collapse into one canonical
 state. What remains is exactly the protocol -- cache line flags and
 values, directory entries, table bits, replacement order -- which is
 why the default preset closes its frontier in seconds.
+
+A transition costs little more than the modeled lines it touches.
+:func:`~repro.mc.state.extract_state` renames write-counter values as
+it walks, so the 16-byte digest of the extracted parts
+(:func:`~repro.mc.state.semi_key`) already identifies the successor up
+to value renaming; only a successor not met before pays the
+minimisation over permutations. The first action from a frontier entry
+reuses the restore its guards were read under, and a cluster whose
+L1s are all empty restores without walking them.
 """
 
 from __future__ import annotations
@@ -39,7 +48,6 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from hashlib import blake2b
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.parallel import resolve_jobs
@@ -47,8 +55,8 @@ from repro.mc.actions import Action, apply_action, guard_enabled
 from repro.mc.invariants import check_state
 from repro.mc.presets import ModelConfig, build_machine
 from repro.mc.reduce import reduction_context
-from repro.mc.state import (SpecState, extract_state, render_signature,
-                            semi_key)
+from repro.mc.state import (SpecState, digest, extract_state,
+                            render_signature, semi_key)
 
 #: Frontier entries per pool task: large enough to amortise IPC, small
 #: enough to keep the merge window (and worker latency) tight.
@@ -61,16 +69,6 @@ SPILL_THRESHOLD = 20_000
 
 #: Entries per spill segment (one pickle file).
 SPILL_SEGMENT = 4_096
-
-
-def _digest(key: tuple) -> bytes:
-    """16-byte stable digest of a canonical key.
-
-    Keys are pure nested tuples of ints, so ``repr`` is a canonical
-    byte rendering. (``pickle`` is *not*: its memo encodes object
-    identity, so two equal keys could serialise differently.)
-    """
-    return blake2b(repr(key).encode(), digest_size=16).digest()
 
 
 @dataclass
@@ -141,9 +139,10 @@ class _WorkerState:
                 apply_mutation(mutation, machine)
         self.machine = machine
         self.spec = SpecState()
-        # semi-key digest -> (digest, perm, orbit): a revisited
-        # successor (the vast majority) costs one identity-order render
-        # instead of the full minimisation over the symmetry group.
+        # semi key -> (digest, perm, orbit): a revisited successor (the
+        # vast majority) costs one digest of its extracted parts instead
+        # of the full minimisation over the symmetry group. Keyed by
+        # digests, not the part tuples, which hold more memory per state.
         self.semi_cache: Dict[bytes, tuple] = {}
         # Digests this worker already shipped a snapshot for. Workers
         # never coordinate: at worst two workers ship the same new
@@ -158,7 +157,7 @@ _WORKER_CACHE: Dict[tuple, _WorkerState] = {}
 
 def _canonicalize(state: _WorkerState, raw, reduce: bool) -> tuple:
     """(digest, perm, orbit) of an extracted state, via the semi memo."""
-    semi = _digest(semi_key(raw))
+    semi = semi_key(raw)
     hit = state.semi_cache.get(semi)
     if hit is None:
         ctx = state.ctx
@@ -168,7 +167,7 @@ def _canonicalize(state: _WorkerState, raw, reduce: bool) -> tuple:
             key = min(render_signature(raw, order)
                       for order in ctx.cluster_orders)
             perm, orbit = None, 1
-        hit = (_digest(key), perm, orbit)
+        hit = (digest(key), perm, orbit)
         state.semi_cache[semi] = hit
     return hit
 
@@ -186,7 +185,7 @@ def _expand_entries(state: _WorkerState, model: ModelConfig,
     ctx = state.ctx
     machine, spec = state.machine, state.spec
     out: List[dict] = []
-    for digest, msnap, ssnap, perm, sleep_canon in entries:
+    for _pdigest, msnap, ssnap, perm, sleep_canon in entries:
         machine.restore(msnap)
         enabled = [c.index for c in ctx.candidates
                    if guard_enabled(machine, c)]
@@ -198,7 +197,8 @@ def _expand_entries(state: _WorkerState, model: ModelConfig,
         trans: List[tuple] = []
         earlier: List[int] = []
         for index in explored:
-            machine.restore(msnap)
+            if earlier:  # guards only read: the first action needs none
+                machine.restore(msnap)
             spec.restore(ssnap)
             outcome = apply_action(machine, model, spec,
                                    ctx.candidates[index].action)

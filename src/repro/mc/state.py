@@ -23,8 +23,15 @@ influence future protocol behaviour, reduced under three symmetries:
   same boot domain, equivalent bank/set infrastructure -- may be
   relabeled too, so the key is additionally minimised over the line
   permutations the caller passes in;
-* *value renaming*: write-counter values are opaque, so they are
-  renamed in first-appearance order while walking the state.
+* *value renaming*: write-counter values are opaque, so
+  :func:`extract_state` already renames them in first-appearance order
+  as it walks the machine, and :func:`render_signature` renames again
+  along each relabeled walk.
+
+Because extraction renames, the extracted parts identify a concrete
+state up to value renaming on their own: :func:`semi_key` is simply
+their 16-byte :func:`digest`, the explorer's memo key in front of the
+minimisation over permutations.
 
 To make line relabeling well defined, the extracted state is indexed
 throughout by *line slot* (position in ``model.lines``), never by raw
@@ -40,6 +47,8 @@ bounded directory picks eviction victims by it.
 
 from __future__ import annotations
 
+import marshal
+from hashlib import blake2b
 from itertools import permutations
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -115,23 +124,41 @@ def canonical_key(machine, model, spec: SpecState,
                for order in permutations(range(n)))
 
 
-def semi_key(raw) -> tuple:
-    """Identity-order rendering of an extracted state.
+def digest(key: tuple) -> bytes:
+    """16-byte stable digest of an extracted state or canonical key.
 
-    Not symmetry-reduced, but values *are* renamed, so it uniquely
-    identifies a concrete state. The explorer uses it as a cheap cache
-    key in front of the full minimum-over-permutations computation:
-    most successors are revisits, and a revisit costs one walk here
-    instead of ``n!`` renders.
+    Keys are pure nested tuples of ints and ``None``, and ``marshal``
+    format 2 writes no back-references (those arrive in format 3), so
+    equal keys serialise to equal bytes whatever the identity of the
+    objects inside them. (``pickle`` is *not* canonical: its memo
+    encodes object identity.)
     """
-    n = len(raw[1])
-    return render_signature(raw, tuple(range(n)))
+    return blake2b(marshal.dumps(key, 2), digest_size=16).digest()
+
+
+def semi_key(raw) -> bytes:
+    """Memo key of an extracted state: the digest of its parts.
+
+    Not symmetry-reduced, but values are already renamed by
+    :func:`extract_state`, so it identifies a concrete state up to value
+    renaming. The explorer uses it as a cheap cache key in front of the
+    full minimum-over-permutations computation: most successors are
+    revisits, and a revisit costs one digest instead of ``n!`` renders.
+    """
+    return digest(raw)
 
 
 def extract_state(machine, model, spec: SpecState) -> tuple:
     """One walk over the machine collecting permutation-independent raw
-    parts; :func:`render_signature` then permutes and renames cheaply."""
+    parts; :func:`render_signature` then permutes and renames cheaply.
+
+    Write-counter values are renamed in first-appearance order along
+    the walk, and the stale whitelist comes back as a sorted tuple, so
+    two concrete states that differ only in which counters they hold
+    (or in the history that filled ``spec.stale``) extract equal parts.
+    """
     ms = machine.memsys
+    rename: Dict[int, int] = {}
     lines_part: List[tuple] = []
     for ls in model.lines:
         line = ls.line
@@ -144,7 +171,8 @@ def extract_state(machine, model, spec: SpecState) -> tuple:
                        1 if dentry.broadcast else 0,
                        _dir_rank(ms.dirs[bank], dentry))
         lines_part.append((1 if ms.fine.is_swcc(line) else 0, dir_raw,
-                           _entry_raw(ms.l3[bank].peek(line), ls.words)))
+                           _entry_raw(ms.l3[bank].peek(line), ls.words,
+                                      rename)))
     cluster_part: List[tuple] = []
     for cluster in machine.clusters:
         entries = []
@@ -153,20 +181,21 @@ def extract_state(machine, model, spec: SpecState) -> tuple:
         for index, ls in enumerate(model.lines):
             e2 = cluster.l2.peek(ls.line)
             e1 = cluster.l1d[0].peek(ls.line)
-            entries.append((_entry_raw(e2, ls.words), _entry_raw(e1, ls.words)))
+            entries.append((_entry_raw(e2, ls.words, rename),
+                            _entry_raw(e1, ls.words, rename)))
             if e2 is not None:
                 l2_rank.append((e2.lru, index))
             if e1 is not None:
                 l1_rank.append((e1.lru, index))
-        l2_rank.sort()
-        l1_rank.sort()
         cluster_part.append((tuple(entries),
-                             tuple(i for _lru, i in l2_rank),
-                             tuple(i for _lru, i in l1_rank)))
-    mem_part = tuple(
-        tuple(spec.expected(line_base(ls.line) + w * WORD_BYTES)
-              for w in ls.words)
-        for ls in model.lines)
+                             tuple([i for _lru, i in sorted(l2_rank)]),
+                             tuple([i for _lru, i in sorted(l1_rank)])))
+    expected = spec.expected
+    mem_part = tuple([
+        tuple([rename.setdefault(
+                   expected(line_base(ls.line) + w * WORD_BYTES), len(rename))
+               for w in ls.words])
+        for ls in model.lines])
     slot_of_line = {ls.line: slot for slot, ls in enumerate(model.lines)}
     stale_part = []
     for cid, word_addr in spec.stale:
@@ -174,17 +203,21 @@ def extract_state(machine, model, spec: SpecState) -> tuple:
         slot = slot_of_line[line]
         word = (word_addr - line_base(line)) // WORD_BYTES
         stale_part.append((cid, slot, model.lines[slot].words.index(word)))
+    stale_part.sort()
     return (tuple(lines_part), tuple(cluster_part), mem_part,
-            frozenset(stale_part))
+            tuple(stale_part))
 
 
 def render_signature(raw, order: Tuple[int, ...],
                      lineperm: Optional[Tuple[int, ...]] = None) -> tuple:
     """Signature of ``raw`` under one cluster (and line) relabeling.
 
-    Values are renamed in first-appearance order along the walk, so two
-    states differing only in which opaque write counters they hold (or
-    in interchangeable cluster/line ids) render identically.
+    Values are renamed again in first-appearance order along the
+    relabeled walk, so two states differing only in which opaque write
+    counters they hold (or in interchangeable cluster/line ids) render
+    identically. Renaming goes by equality pattern alone, so the
+    renaming :func:`extract_state` already applied leaves the rendered
+    key unchanged.
 
     ``lineperm`` maps rendered position -> source line slot; position
     ``p`` of the signature describes line slot ``lineperm[p]``. ``None``
@@ -200,16 +233,7 @@ def render_signature(raw, order: Tuple[int, ...],
         for pos, src in enumerate(lineperm):
             posof[src] = pos
     rename: Dict[int, int] = {}
-    rget = rename.get
     slot = {cid: i for i, cid in enumerate(order)}
-
-    def val(x: int) -> int:
-        r = rget(x)
-        if r is None:
-            r = len(rename)
-            rename[x] = r
-        return r
-
     parts: List[object] = []
     for pos in range(n_lines):
         fine_bit, dir_raw, l3_raw = lines_part[lineperm[pos]]
@@ -220,38 +244,46 @@ def render_signature(raw, order: Tuple[int, ...],
             state, sharers, broadcast, rank = dir_raw
             parts.append((1, state, tuple(sorted(slot[c] for c in sharers)),
                           broadcast, rank))
-        parts.append(_render_entry(l3_raw, val))
+        parts.append(_render_entry(l3_raw, rename))
     for cid in order:
         entries, l2_rank, l1_rank = cluster_part[cid]
         for pos in range(n_lines):
             e2_raw, e1_raw = entries[lineperm[pos]]
-            parts.append(_render_entry(e2_raw, val))
-            parts.append(_render_entry(e1_raw, val))
+            parts.append(_render_entry(e2_raw, rename))
+            parts.append(_render_entry(e1_raw, rename))
         parts.append(tuple(posof[s] for s in l2_rank))
         parts.append(tuple(posof[s] for s in l1_rank))
     for pos in range(n_lines):
-        parts.append(tuple(val(v) for v in mem_part[lineperm[pos]]))
+        parts.append(tuple([rename.setdefault(v, len(rename))
+                            for v in mem_part[lineperm[pos]]]))
     parts.append(tuple(sorted((slot[c], posof[s], w) for c, s, w in stale)))
     return tuple(parts)
 
 
-def _entry_raw(entry, words: Tuple[int, ...]) -> Optional[tuple]:
+def _entry_raw(entry, words: Tuple[int, ...],
+               rename: Dict[int, int]) -> Optional[tuple]:
     if entry is None:
         return None
-    values = tuple(
-        entry.data[w] if (entry.data is not None
-                          and entry.valid_mask & (1 << w)) else None
-        for w in words)
-    return (entry.valid_mask, entry.dirty_mask,
+    data = entry.data
+    valid_mask = entry.valid_mask
+    if data is None:
+        values = (None,) * len(words)
+    else:
+        values = tuple([
+            rename.setdefault(data[w], len(rename))
+            if valid_mask & (1 << w) else None
+            for w in words])
+    return (valid_mask, entry.dirty_mask,
             1 if entry.incoherent else 0, values)
 
 
-def _render_entry(raw: Optional[tuple], val) -> tuple:
+def _render_entry(raw: Optional[tuple], rename: Dict[int, int]) -> tuple:
     if raw is None:
         return (0,)
     valid_mask, dirty_mask, incoherent, values = raw
     return (1, valid_mask, dirty_mask, incoherent,
-            tuple(-1 if v is None else val(v) for v in values))
+            tuple([-1 if v is None else rename.setdefault(v, len(rename))
+                   for v in values]))
 
 
 def _dir_rank(bank_dir, dentry) -> int:

@@ -428,33 +428,37 @@ class Cluster:
 
     # -- snapshot / restore --------------------------------------------------
     def snapshot(self) -> dict:
-        """Capture this cluster's L2/L1 contents (statistics excluded)."""
+        """Capture this cluster's L2/L1 contents (statistics excluded).
+
+        Only the non-empty per-core caches are listed, as ``(core,
+        entries)`` pairs: the model checker snapshots thousands of
+        mostly idle clusters per second.
+        """
         return {
             "l2": self.l2.snapshot(),
-            "l1d": [c.snapshot() for c in self.l1d],
-            "l1i": [c.snapshot() for c in self.l1i],
+            "l1d": [(i, c.snapshot()) for i, c in enumerate(self.l1d) if c],
+            "l1i": [(i, c.snapshot()) for i, c in enumerate(self.l1i) if c],
         }
 
     def restore(self, snap: dict) -> None:
         """Reset caches to a :meth:`snapshot`; drop in-flight posted ops.
 
-        The per-core caches are skipped when both the snapshot and the
-        live cache are empty -- the model checker restores thousands of
-        mostly idle clusters per second.
+        ``_l1_present`` is a superset of the resident L1 lines, so when
+        it is empty no per-core cache is walked; otherwise only the
+        occupied ones are cleared before the listed ones are refilled.
         """
         self.l2.restore(snap["l2"])
         present = self._l1_present
-        present.clear()
-        for cache, cache_snap in zip(self.l1d, snap["l1d"]):
-            if cache_snap or cache:
-                cache.restore(cache_snap)
-            for entry in cache_snap:
-                present.add(entry[0])
-        for cache, cache_snap in zip(self.l1i, snap["l1i"]):
-            if cache_snap or cache:
-                cache.restore(cache_snap)
-            for entry in cache_snap:
-                present.add(entry[0])
+        if present:
+            present.clear()
+            for cache in (*self.l1d, *self.l1i):
+                if cache:
+                    cache.restore(())
+        for caches, listed in ((self.l1d, snap["l1d"]),
+                               (self.l1i, snap["l1i"])):
+            for index, entries in listed:
+                caches[index].restore(entries)
+                present.update(entry[0] for entry in entries)
         self._posted.clear()
         self.port.reset()
 

@@ -75,6 +75,26 @@ class TestActionEnumeration:
         assert {a.cluster for a in loads} == {0, 1}
 
 
+class TestExhaustiveCounts:
+    """Reduced runs close at pinned universe sizes: a change to the
+    protocol, the state key or the reductions that merges or splits
+    states shows up here, not only in CI's full-size runs."""
+
+    def test_smoke_counts(self):
+        result = explore(PRESETS["smoke"], reduce=True)
+        assert result.ok and result.exhaustive
+        assert (result.states, result.transitions, result.races) == \
+               (137, 1524, 20)
+
+    def test_direvict_counts(self):
+        result = explore(PRESETS["direvict"], reduce=True)
+        assert result.ok and result.exhaustive
+        assert result.violations == []
+        assert (result.states, result.transitions,
+                result.represented_states, result.races) == \
+               (4675, 62636, 9300, 1462)
+
+
 class TestDirectoryPressure:
     def test_direvict_clean_under_cap(self):
         result = explore(PRESETS["direvict"], max_states=3000)

@@ -349,3 +349,44 @@ class TestL1PresentCompaction:
         # the streamed history.
         capacity = bound // 2
         assert after <= capacity
+
+
+def resident_l1_lines(cluster):
+    return {entry.line for cache in (*cluster.l1d, *cluster.l1i)
+            for entry in cache.lines()}
+
+
+class TestSparseSnapshot:
+    """Snapshots list only occupied L1s; restores walk only those."""
+
+    def test_round_trip_into_busy_cluster(self):
+        source = make_machine(Policy.hwcc_ideal()).clusters[0]
+        t, _ = source.load(3, COHERENT_HEAP, 0.0)
+        source.ifetch(5, CODE, t)
+        snap = source.snapshot()
+        assert [i for i, _ in snap["l1d"]] == [3]
+        assert [i for i, _ in snap["l1i"]] == [5]
+
+        target = make_machine(Policy.hwcc_ideal()).clusters[0]
+        t, _ = target.load(0, COHERENT_HEAP + 0x400, 0.0)
+        t, _ = target.load(3, COHERENT_HEAP + 0x800, t)
+        target.ifetch(1, CODE + 0x400, t)
+        target.restore(snap)
+
+        assert target.snapshot() == snap
+        assert target._l1_present == resident_l1_lines(target)
+        assert target._l1_present == {line_of(COHERENT_HEAP), line_of(CODE)}
+        assert not target.l1d[0] and not target.l1i[1]
+
+    def test_empty_snapshot_empties_every_l1(self):
+        empty = make_machine(Policy.hwcc_ideal()).clusters[0].snapshot()
+        assert empty["l1d"] == [] and empty["l1i"] == []
+        cluster = make_machine(Policy.hwcc_ideal()).clusters[0]
+        t = 0.0
+        for core in range(cluster.n_cores):
+            t, _ = cluster.load(core, COHERENT_HEAP + 32 * core, t)
+            t = cluster.ifetch(core, CODE + 32 * core, t)
+        cluster.restore(empty)
+        assert not any(cluster.l1d) and not any(cluster.l1i)
+        assert cluster._l1_present == set()
+        assert cluster.snapshot() == empty
