@@ -82,15 +82,12 @@ def cell_key(cell) -> dict:
 
     Resolves the machine config exactly as :func:`run_workload` would,
     so two cells that simulate the same machine key identically however
-    their knobs were spelled. ``config_extra`` keys starting with ``_``
-    are runner directives (e.g. the bench harness's rep count), not
-    simulation inputs, and are excluded.
+    their knobs were spelled.
     """
     from repro.cache.keys import canonical
 
     exp = cell.exp
-    extra = {k: v for k, v in cell.config_extra
-             if not str(k).startswith("_")}
+    extra = dict(cell.config_extra)
     return {
         "schema": RESULT_SCHEMA,
         "source": srchash.source_tree_hash(),

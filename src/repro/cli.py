@@ -55,7 +55,7 @@ from repro.analysis.experiments import (DIRECTORY_SWEEP_SIZES, L2_SWEEP_BYTES,
 from repro.analysis.parallel import stderr_progress
 from repro.analysis.report import (format_table, message_breakdown_rows,
                                    short_message_headers)
-from repro.errors import ReproError, SimulationError
+from repro.errors import ReproError
 from repro.config import MachineConfig, Policy
 from repro.types import DirectoryKind, SegmentClass
 from repro.workloads import ALL_WORKLOADS
@@ -751,86 +751,6 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    import json
-    import time
-
-    # Lazy import: repro.bench builds cells via policy_from_name above,
-    # so importing it at module scope would be circular.
-    from repro.bench import (BenchDocError, PINNED_MATRIX, compare_runs,
-                             default_baseline_path, format_bench_table,
-                             format_compare_table, format_profile_table,
-                             profile_cells, run_bench, select_specs,
-                             summary_markdown)
-
-    if args.list_cells:
-        rows = [[spec.key, spec.describe()] for spec in PINNED_MATRIX]
-        print(format_table(["cell", "configuration"], rows,
-                           title="pinned bench matrix"))
-        return 0
-
-    try:
-        specs = select_specs(args.cells)
-        doc = run_bench(specs, reps=args.reps, jobs=args.jobs,
-                        progress=_progress_from_args(args, "bench"),
-                        use_cache=args.cache)
-    except SimulationError as err:
-        print(f"bench: {err}", file=sys.stderr)
-        return 2
-
-    out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = time.strftime('%Y%m%d-%H%M%S')
-    json_path = out_dir / f"BENCH_{stamp}.json"
-    json_path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(format_bench_table(doc))
-    print(f"written: {json_path}")
-
-    if args.profile:
-        # After (never inside) the timed region: profiler overhead
-        # inflates walls 4-5x, so profiled runs are a separate pass.
-        try:
-            profile_doc = profile_cells(
-                specs, top=args.profile_top,
-                progress=_progress_from_args(args, "profile"))
-        except SimulationError as err:
-            print(f"bench: {err}", file=sys.stderr)
-            return 2
-        profile_path = out_dir / f"PROFILE_{stamp}.json"
-        profile_path.write_text(json.dumps(profile_doc, indent=2) + "\n")
-        print()
-        print(format_profile_table(profile_doc))
-        print(f"written: {profile_path}")
-
-    exit_code = 0
-    compare = None
-    if args.compare:
-        try:
-            reference = json.loads(pathlib.Path(args.compare).read_text())
-        except (OSError, ValueError) as err:
-            print(f"bench: cannot read {args.compare}: {err}",
-                  file=sys.stderr)
-            return 2
-        try:
-            compare = compare_runs(reference, doc, threshold=args.threshold)
-        except BenchDocError as err:
-            print(f"bench: {err}", file=sys.stderr)
-            return 2
-        print()
-        print(format_compare_table(compare))
-        exit_code = 0 if compare.ok else 1
-    if args.update_baseline:
-        baseline = (pathlib.Path(args.baseline) if args.baseline
-                    else default_baseline_path())
-        baseline.parent.mkdir(parents=True, exist_ok=True)
-        baseline.write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"baseline updated: {baseline}")
-    if args.summary:
-        with open(args.summary, "a", encoding="utf-8") as fh:
-            fh.write(summary_markdown(doc, compare))
-    return exit_code
-
-
 def cmd_serve(args) -> int:
     # Lazy import: the serve package pulls in asyncio plumbing no other
     # subcommand needs.
@@ -1007,44 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_args(p_fig)
     p_fig.set_defaults(func=cmd_figures)
 
-    p_bench = sub.add_parser(
-        "bench", help="time the pinned perf-regression matrix")
-    p_bench.add_argument("--cells", default=None, metavar="PAT[,PAT]",
-                         help="only matrix cells whose key contains a PAT")
-    p_bench.add_argument("--reps", type=int, default=1,
-                         help="repetitions per cell (minimum is reported)")
-    p_bench.add_argument("--out", default="results",
-                         help="directory for BENCH_<timestamp>.json")
-    p_bench.add_argument("--compare", default=None, metavar="FILE",
-                         help="grade this run against a previous bench JSON")
-    p_bench.add_argument("--threshold", type=float, default=0.25,
-                         help="allowed wall-time growth fraction "
-                              "(default: 0.25 = 25%% slower fails)")
-    p_bench.add_argument("--update-baseline", action="store_true",
-                         help="write this run to the committed baseline")
-    p_bench.add_argument("--baseline", default=None, metavar="FILE",
-                         help="baseline path for --update-baseline "
-                              "(default: benchmarks/baseline.json)")
-    p_bench.add_argument("--summary", default=None, metavar="FILE",
-                         help="append a markdown summary (for CI)")
-    p_bench.add_argument("--list-cells", action="store_true",
-                         help="list the pinned matrix and exit")
-    p_bench.add_argument("--profile", action="store_true",
-                         help="after timing, cProfile each cell (outside "
-                              "the timed region) and write "
-                              "PROFILE_<timestamp>.json with the top-N "
-                              "functions per cell")
-    p_bench.add_argument("--profile-top", type=int, default=25,
-                         metavar="N",
-                         help="functions kept per profiled cell "
-                              "(default: 25)")
-    p_bench.add_argument("--cache", action="store_true",
-                         help="serve hits from the result cache (times the "
-                              "fetch, not the simulation; recorded in the "
-                              "JSON so runs stay comparable)")
-    _add_jobs_args(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
-
     p_cache = sub.add_parser(
         "cache", help="inspect the build-once/run-many reuse caches")
     p_cache.add_argument("action", choices=("stats", "clear", "verify"),
@@ -1106,7 +988,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except ReproError as err:
         # Library errors carry friendly, named messages (bad REPRO_*
-        # values, unknown bench cells, ...) -- show them as a one-line
+        # values, unknown workloads, ...) -- show them as a one-line
         # usage error, not a traceback.
         print(f"repro: {err}", file=sys.stderr)
         return 2

@@ -62,13 +62,34 @@ class TestS002MeasuredPaths:
     def test_seeded_and_simulated_forms_allowed(self, body):
         assert self.scan(body) == []
 
-    def test_allowlist_excludes_host_side_tooling(self):
-        findings = selfcheck.check_measured_paths()
-        assert findings == []
-        # The harness genuinely reads the wall clock; the allowlist is
-        # what keeps the tree green, not an absence of clock reads.
-        harness = (selfcheck.SRC_ROOT / "bench" / "harness.py").read_text()
-        assert "perf_counter" in harness
+    @staticmethod
+    def src_root(tmp_path, files):
+        root = tmp_path / "src" / "repro"
+        root.mkdir(parents=True)
+        for name, body in files.items():
+            (root / name).write_text(body)
+        return root
+
+    def test_allowlist_entry_naming_no_file_flagged(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(selfcheck, "WALLCLOCK_ALLOWLIST",
+                            {"tool.py", "gone/harness.py"})
+        root = self.src_root(tmp_path, {
+            "tool.py": "import time\nt = time.perf_counter()\n"})
+        [finding] = selfcheck.check_measured_paths(root)
+        assert finding.rule == "S002"
+        assert finding.path == "src/repro/gone/harness.py"
+        assert "no such file" in finding.message
+
+    def test_allowlisted_file_without_clock_read_flagged(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setattr(selfcheck, "WALLCLOCK_ALLOWLIST", {"tool.py"})
+        root = self.src_root(tmp_path, {
+            "tool.py": "import time\nx = 1\n"})
+        [finding] = selfcheck.check_measured_paths(root)
+        assert finding.rule == "S002"
+        assert finding.path == "src/repro/tool.py"
+        assert "reads no wall clock" in finding.message
 
 
 GOOD_PRESETS = '''

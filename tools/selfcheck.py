@@ -15,9 +15,11 @@ S002  deterministic measured paths: simulation/analysis code must not
       makes the content-addressed result cache and the mc explorer's
       canonical states sound. Seeded generators (``random.Random(s)``,
       ``np.random.default_rng(s)``) are fine. Host-side tooling that
-      legitimately measures wall time (the bench harness, the parallel
-      sweep runner's progress meter, the mc explorer's elapsed budget,
-      the CLI) is allowlisted.
+      legitimately measures wall time (the parallel sweep runner's
+      progress meter, the mc explorer's elapsed budget, the CLI, the
+      job server) is allowlisted, and the allowlist must not carry
+      stale entries: each one must name a file under ``src/repro``
+      that reads a wall clock.
 
 S003  footprint-table coverage: every model-checker action kind --
       declared in ``mc/presets.py``'s ``ACTION_KINDS`` or constructed /
@@ -54,7 +56,6 @@ SRC_ROOT = REPO_ROOT / "src" / "repro"
 #: Files (relative to src/repro) allowed to read wall clocks: host-side
 #: tooling whose own wall time is the measurement, never simulated state.
 WALLCLOCK_ALLOWLIST: Set[str] = {
-    "bench/harness.py",
     "analysis/parallel.py",
     "mc/explorer.py",
     "cli.py",
@@ -151,14 +152,29 @@ def scan_measured_path(source: str, rel: str) -> List[Finding]:
 
 
 def check_measured_paths(src_root: pathlib.Path = SRC_ROOT) -> List[Finding]:
-    """S002: no wall clocks / unseeded RNGs outside the allowlist."""
+    """S002: no wall clocks / unseeded RNGs outside the allowlist, and
+    no allowlist entry that names a missing or clock-free file."""
     findings: List[Finding] = []
+    seen: Set[str] = set()
     for path in sorted(src_root.rglob("*.py")):
         rel_to_pkg = path.relative_to(src_root).as_posix()
-        if rel_to_pkg in WALLCLOCK_ALLOWLIST:
-            continue
         rel = str(path.relative_to(src_root.parent.parent))
-        findings.extend(scan_measured_path(path.read_text(), rel))
+        found = scan_measured_path(path.read_text(), rel)
+        if rel_to_pkg not in WALLCLOCK_ALLOWLIST:
+            findings.extend(found)
+            continue
+        seen.add(rel_to_pkg)
+        if not any("wall-clock" in f.message for f in found):
+            findings.append(Finding(
+                "S002", rel, 1,
+                "allowlisted for wall-clock reads but reads no wall "
+                "clock (stale allowlist entry?)"))
+    for entry in sorted(WALLCLOCK_ALLOWLIST - seen):
+        rel = str((src_root / entry).relative_to(src_root.parent.parent))
+        findings.append(Finding(
+            "S002", rel, 1,
+            "allowlisted for wall-clock reads but no such file exists "
+            "(stale allowlist entry?)"))
     return findings
 
 
