@@ -27,7 +27,6 @@ from repro.cache.programs import (PROGRAM_SCHEMA, PROGRAM_STATS, ProgramStore,
                                   program_key)
 from repro.cache.results import (RESULT_SCHEMA, RESULT_STATS, ResultCache,
                                  cell_key, decode_stats, encode_stats)
-from repro.cache.spill import SpillStore
 
 __all__ = [
     "cache_enabled", "cache_root", "canonical", "canonical_json", "digest",
@@ -35,5 +34,5 @@ __all__ = [
     "PROGRAM_SCHEMA", "PROGRAM_STATS", "ProgramStore", "build_program",
     "dump_artifact", "load_artifact", "program_key",
     "RESULT_SCHEMA", "RESULT_STATS", "ResultCache", "cell_key",
-    "decode_stats", "encode_stats", "SpillStore",
+    "decode_stats", "encode_stats",
 ]

@@ -472,7 +472,7 @@ def cmd_mc(args) -> int:
     result = explore(model, mutation=args.mutate,
                      max_states=args.max_states, max_depth=args.max_depth,
                      progress=progress, reduce=not args.no_reduce,
-                     jobs=args.jobs, spill=args.spill)
+                     jobs=args.jobs)
 
     if args.trace_out and result.trace is not None:
         write_trace(args.trace_out, result)
@@ -894,10 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--jobs", "-j", type=int, default=None,
                       help="worker processes for frontier expansion "
                            "(default: all cores)")
-    p_mc.add_argument("--spill", choices=("auto", "off", "always"),
-                      default="auto",
-                      help="spill BFS frontiers to disk (default: auto, "
-                           "above a size threshold)")
     p_mc.add_argument("--equality-gate", action="store_true",
                       help="run the preset unreduced AND reduced, diff "
                            "verdicts and orbit counts; exit 1 on mismatch")

@@ -19,7 +19,7 @@ acceptance tests.
 from repro.mc.actions import (Action, Candidate, apply_action,
                               candidate_actions, enumerate_actions)
 from repro.mc.explorer import McResult, explore
-from repro.mc.footprints import (FOOTPRINTS, FootprintContext, KindFootprint,
+from repro.mc.footprints import (LINE_SCOPED_KINDS, FootprintContext,
                                  build_context)
 from repro.mc.invariants import check_state, global_view
 from repro.mc.mutations import MUTATIONS, Mutation, apply_mutation
@@ -35,9 +35,8 @@ __all__ = [
     "ACTION_KINDS",
     "Action",
     "Candidate",
-    "FOOTPRINTS",
     "FootprintContext",
-    "KindFootprint",
+    "LINE_SCOPED_KINDS",
     "LineSpec",
     "MUTATIONS",
     "McResult",

@@ -15,8 +15,8 @@ submission order**, the same deterministic-merge discipline as
 ``repro.analysis.parallel.run_cells``. Serial and parallel runs
 therefore produce bit-identical results; workers only precompute, the
 parent's merge remains the single authority on the visited set, caps,
-and the first violation. Oversized frontiers spill to disk segments
-(:class:`repro.cache.SpillStore`) and stream back chunk by chunk.
+and the first violation. A level's frontier is a plain in-memory list,
+sliced into chunks in append order.
 
 With ``reduce=True`` the engine additionally applies the two
 reductions of :mod:`repro.mc.reduce`: canonical keys are minimised over
@@ -62,14 +62,6 @@ from repro.mc.state import (SpecState, digest, extract_state,
 #: enough to keep the merge window (and worker latency) tight.
 CHUNK = 64
 
-#: ``spill="auto"`` starts writing frontier segments to disk once this
-#: many entries are pending (each entry carries full machine+spec
-#: snapshots, so a wide deep-preset frontier is the memory hot spot).
-SPILL_THRESHOLD = 20_000
-
-#: Entries per spill segment (one pickle file).
-SPILL_SEGMENT = 4_096
-
 
 @dataclass
 class McResult:
@@ -91,7 +83,6 @@ class McResult:
     represented_states: Optional[int] = None  # sum of orbit sizes
     reduction_factor: Optional[float] = None  # represented / visited
     sleep_pruned: int = 0      # enabled actions skipped by sleep sets
-    spill_segments: int = 0    # frontier segments written to disk
     levels: List[dict] = field(default_factory=list)  # per-BFS-level
 
     @property
@@ -121,7 +112,6 @@ class McResult:
                                  if self.reduction_factor is not None
                                  else None),
             "sleep_pruned": self.sleep_pruned,
-            "spill_segments": self.spill_segments,
             "levels": self.levels,
         }
 
@@ -239,75 +229,6 @@ def _expand_chunk(payload: dict) -> List[dict]:
                            payload["reduce"])
 
 
-class _Frontier:
-    """Append-ordered frontier with optional disk spill.
-
-    Entries accumulate into fixed-size runs; once spilling activates
-    (mode ``always``, or ``auto`` past the threshold), full runs are
-    written as :class:`~repro.cache.SpillStore` segments instead of
-    held in memory. ``take_chunks`` streams everything back in exact
-    append order and leaves the frontier empty.
-    """
-
-    def __init__(self, store_factory, mode: str) -> None:
-        self._store_factory = store_factory  # lazy: most runs never spill
-        self.store = None
-        self.mode = mode
-        self.runs: List[tuple] = []   # ("mem", list) | ("disk", seg id)
-        self.open: List[tuple] = []
-        self.count = 0
-        self.segments_written = 0
-
-    def append(self, entry: tuple) -> None:
-        self.open.append(entry)
-        self.count += 1
-        if len(self.open) >= SPILL_SEGMENT:
-            self._close_run()
-
-    def _close_run(self) -> None:
-        spill = (self.mode == "always"
-                 or (self.mode == "auto" and self.count > SPILL_THRESHOLD))
-        if spill:
-            if self.store is None:
-                self.store = self._store_factory()
-            seg = self.store.write_segment(self.open)
-            self.runs.append(("disk", seg))
-            self.segments_written += 1
-        else:
-            self.runs.append(("mem", self.open))
-        self.open = []
-
-    def flush(self) -> None:
-        """Close the open run early (so ``always`` mode really spills
-        even when a level never fills a whole segment)."""
-        if self.mode == "always" and self.open:
-            self._close_run()
-
-    def take_chunks(self, size: int):
-        """Yield chunks (lists of entries) in append order; drains."""
-        runs, self.runs = self.runs, []
-        open_run, self.open = self.open, []
-        self.count = 0
-        buffer: List[tuple] = []
-        for kind, payload in runs:
-            run = (payload if kind == "mem"
-                   else self.store.read_segment(payload))
-            buffer.extend(run)
-            while len(buffer) >= size:
-                yield buffer[:size]
-                buffer = buffer[size:]
-        buffer.extend(open_run)
-        while len(buffer) >= size:
-            yield buffer[:size]
-            buffer = buffer[size:]
-        if buffer:
-            yield buffer
-
-    def cleanup(self) -> None:
-        if self.store is not None:
-            self.store.cleanup()
-
-
 class _Violation(Exception):
     """Internal: unwinds the level loop at the first violation."""
 
@@ -324,8 +245,7 @@ def explore(model: ModelConfig, machine=None,
             progress: Optional[Callable[[int, int], None]] = None,
             progress_every: int = 2000,
             reduce: bool = False,
-            jobs: Optional[int] = None,
-            spill: str = "auto") -> McResult:
+            jobs: Optional[int] = None) -> McResult:
     """Exhaustively explore ``model``; stop at the first violation.
 
     ``machine`` defaults to a fresh :func:`build_machine`; pass one to
@@ -338,11 +258,8 @@ def explore(model: ModelConfig, machine=None,
     ``reduce`` turns on the sound reductions of :mod:`repro.mc.reduce`
     (line-symmetry quotient + sleep-set partial-order reduction);
     ``jobs`` requests pool workers (``None`` -> ``REPRO_JOBS`` -> 1, 0
-    -> one per CPU); ``spill`` controls frontier disk spill
-    (``auto``/``off``/``always``).
+    -> one per CPU).
     """
-    if spill not in ("auto", "off", "always"):
-        raise ValueError(f"spill must be auto/off/always; got {spill!r}")
     n_jobs = resolve_jobs(jobs)
     external_machine = machine is not None
     if machine is None:
@@ -376,13 +293,8 @@ def explore(model: ModelConfig, machine=None,
     perm_store: Dict[bytes, tuple] = {root_digest: root_perm}
     represented = root_orbit
 
-    def spill_store():
-        from repro.cache.spill import SpillStore
-        return SpillStore("mc", {"preset": model.name,
-                                 "mutation": mutation or ""})
-
-    frontier = _Frontier(spill_store, spill)
-    frontier.append((root_digest, root_snap[0], root_snap[1], 0))
+    # Entries are (digest, machine snapshot, spec snapshot, depth).
+    frontier: List[tuple] = [(root_digest, root_snap[0], root_snap[1], 0)]
     pool = None
     if n_jobs > 1 and not external_machine:
         try:
@@ -412,8 +324,8 @@ def explore(model: ModelConfig, machine=None,
     # freshest sleep_store entry anyway.
     expanded_ever = set()
 
-    def merge(chunk: List[tuple], records: List[dict], next_frontier,
-              pending_next: set) -> None:
+    def merge(chunk: List[tuple], records: List[dict],
+              next_frontier: List[tuple], pending_next: set) -> None:
         for entry, record in zip(chunk, records):
             pdigest, pmsnap, pssnap, _pperm, _psleep = entry
             pdepth = 0 if visited[pdigest] is None else visited[pdigest][2]
@@ -470,18 +382,18 @@ def explore(model: ModelConfig, machine=None,
                 counters["next_report"] = len(visited) + progress_every
                 progress(len(visited), result.transitions)
 
-    next_frontier = frontier
     try:
         depth_level = 0
-        while frontier.count:
-            next_frontier = _Frontier(spill_store, spill)
+        while frontier:
+            next_frontier: List[tuple] = []
             pending_next: set = set()
-            level_size = frontier.count
+            level_size = len(frontier)
 
             def dispatchable():
                 """Per-chunk payload entries, with refreshed sleep sets
-                and cap-depth filtering; drains the frontier."""
-                for chunk in frontier.take_chunks(CHUNK):
+                and cap-depth filtering."""
+                for start in range(0, len(frontier), CHUNK):
+                    chunk = frontier[start:start + CHUNK]
                     ready = []
                     for digest, msnap, ssnap, depth in chunk:
                         if depth > result.max_depth_reached:
@@ -523,17 +435,12 @@ def explore(model: ModelConfig, machine=None,
                     pool.shutdown(wait=False, cancel_futures=True)
                     print("repro mc: process pool broke; restarting "
                           "exploration in-process", file=sys.stderr)
-                    frontier.cleanup()
-                    next_frontier.cleanup()
                     return explore(model, mutation=mutation,
                                    max_states=max_states,
                                    max_depth=max_depth, progress=progress,
                                    progress_every=progress_every,
-                                   reduce=reduce, jobs=1, spill=spill)
-            result.spill_segments += frontier.segments_written
-            frontier.cleanup()
+                                   reduce=reduce, jobs=1)
             frontier = next_frontier
-            frontier.flush()
             result.levels.append({
                 "depth": depth_level,
                 "frontier": level_size,
@@ -549,8 +456,6 @@ def explore(model: ModelConfig, machine=None,
         result.violations = violation.violations
         result.trace = violation.trace
     finally:
-        frontier.cleanup()
-        next_frontier.cleanup()
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
 

@@ -3,15 +3,19 @@
 The partial-order reduction in :mod:`repro.mc.reduce` needs to know
 which pairs of actions *commute*: applying them in either order from
 any state must land in the same state (up to the canonical-key value
-renaming). Rather than trusting dynamic observation, each `Action` kind
-declares here -- statically, as data -- the set of **state components**
-it may read or write, and independence is derived from footprint
-disjointness. The table itself is then validated two ways:
+renaming). Rather than trusting dynamic observation, the footprint of
+an `Action` is derived here -- statically, from its kind and the model's
+geometry -- as the set of **state components** it may read or write,
+and independence is footprint disjointness. The derivation is checked
+dynamically by :func:`repro.mc.reduce.verify_independence`, which
+exhaustively diffs post-states of commuted pairs on small universes.
 
-* dynamically, by :func:`repro.mc.reduce.verify_independence`, which
-  exhaustively diffs post-states of commuted pairs on small universes;
-* statically, by selfcheck rule S003, which requires every action kind
-  constructed in ``mc/actions.py`` to carry an entry here.
+There is no per-kind table to keep in step with the action set. Every
+action touches its line and, when the line can reach the directory, its
+directory bank; only the kinds named in :data:`LINE_SCOPED_KINDS` leave
+the cluster's recency order alone. A kind missing from that set gets the
+widest footprint any kind has, so a new kind costs reduction until it is
+listed, never soundness.
 
 Component model
 ---------------
@@ -43,8 +47,8 @@ A footprint is a set of opaque component tokens:
     reorders ranks relative to every other resident line. The removal
     and clean-in-place performed by ``wb``/``inv``/``evict`` and by
     remote probes commute with rank observations of *other* lines
-    (relative order of survivors is preserved), so those kinds stay
-    line-scoped.
+    (relative order of survivors is preserved), so those kinds, like
+    ``atomic`` and the domain transitions, are line-scoped.
 
 SpecState's ``next_value`` counter is deliberately *not* a component:
 interleaving two independent writes hands out different raw counters,
@@ -60,33 +64,10 @@ from typing import Dict, FrozenSet, Tuple
 Component = Tuple[object, ...]
 
 
-@dataclass(frozen=True)
-class KindFootprint:
-    """Which component families one action kind may read or write.
-
-    ``touches_lru`` marks kinds that insert/bump recency state in the
-    initiating cluster; ``needs_directory`` marks kinds that may
-    allocate, mutate, or release a directory entry for the target line
-    (the token is emitted only when the line is dir-capable).
-    """
-
-    touches_lru: bool = False
-    needs_directory: bool = True
-
-
-#: Declared footprint per action kind. Selfcheck rule S003 enforces
-#: that every kind constructed in ``mc/actions.py`` appears here, and
-#: ``verify_independence`` checks the declarations against reality.
-FOOTPRINTS: Dict[str, KindFootprint] = {
-    "load": KindFootprint(touches_lru=True),
-    "store": KindFootprint(touches_lru=True),
-    "atomic": KindFootprint(),
-    "wb": KindFootprint(),
-    "inv": KindFootprint(),
-    "evict": KindFootprint(),
-    "to_swcc": KindFootprint(),
-    "to_hwcc": KindFootprint(),
-}
+#: Action kinds that never reorder the initiating cluster's L2/L1
+#: recency, so their footprint omits the ``("lru", cluster)`` token.
+LINE_SCOPED_KINDS: FrozenSet[str] = frozenset(
+    {"atomic", "wb", "inv", "evict", "to_swcc", "to_hwcc"})
 
 
 @dataclass(frozen=True)
@@ -108,11 +89,10 @@ class FootprintContext:
 
     def footprint(self, action) -> FrozenSet[Component]:
         slot = self.slot_of_line[action.line]
-        kf = FOOTPRINTS[action.kind]
         comps = [("line", self.line_class[slot])]
-        if kf.needs_directory and self.dir_capable[slot]:
+        if self.dir_capable[slot]:
             comps.append(("dir", self.dir_bank[slot]))
-        if kf.touches_lru:
+        if action.kind not in LINE_SCOPED_KINDS:
             comps.append(("lru", action.cluster))
         return frozenset(comps)
 

@@ -1,6 +1,6 @@
 """Static reduction engine: independence, symmetry, sleep sets.
 
-This module turns the declared footprints of :mod:`repro.mc.footprints`
+This module turns the static footprints of :mod:`repro.mc.footprints`
 into the two reductions the explorer applies, plus the machinery that
 *checks* them instead of trusting them:
 
@@ -52,7 +52,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.mc.actions import (_SYMMETRIC_KINDS, Candidate, apply_action,
                               candidate_actions, guard_enabled)
-from repro.mc.footprints import FOOTPRINTS, FootprintContext, build_context
+from repro.mc.footprints import FootprintContext, build_context
 from repro.mc.presets import ModelConfig, build_machine
 from repro.mc.state import SpecState, extract_state, render_signature, semi_key
 
@@ -189,9 +189,6 @@ def reduction_context(model: ModelConfig) -> ReductionContext:
     machine = build_machine(model)
     fp = build_context(model, machine)
     candidates = candidate_actions(model)
-    missing = sorted({c.action.kind for c in candidates} - set(FOOTPRINTS))
-    if missing:  # selfcheck S003 catches this statically; fail hard anyway
-        raise ValueError(f"action kinds with no declared footprint: {missing}")
     lookup = {(c.action.kind, c.action.cluster, c.action.line, c.action.word):
               c.index for c in candidates}
     foot = [fp.footprint(c.action) for c in candidates]
@@ -208,7 +205,7 @@ def reduction_context(model: ModelConfig) -> ReductionContext:
 
 def verify_independence(model: ModelConfig,
                         max_states: int = 400) -> List[str]:
-    """Dynamically validate the footprint table against ``model``.
+    """Dynamically validate the derived footprints against ``model``.
 
     Explores up to ``max_states`` reachable states breadth-first and,
     at every state, applies each *declared-independent* enabled pair in

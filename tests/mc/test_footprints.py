@@ -1,7 +1,7 @@
-"""Static footprint table and per-model footprint contexts."""
+"""Static footprint rule and per-model footprint contexts."""
 
-from repro.mc import (ACTION_KINDS, FOOTPRINTS, PRESETS, Action, LineSpec,
-                      ModelConfig, build_context, build_machine)
+from repro.mc import (ACTION_KINDS, LINE_SCOPED_KINDS, PRESETS, Action,
+                      LineSpec, ModelConfig, build_context, build_machine)
 from repro.mc.presets import COHERENT_HEAP, INCOHERENT_HEAP
 
 
@@ -10,13 +10,40 @@ def model_with(lines, name="fp-test", n_clusters=2, **kw):
                        n_clusters=n_clusters, lines=tuple(lines), **kw)
 
 
+def smoke_context():
+    model = PRESETS["smoke"]
+    return build_context(model, build_machine(model)), model.lines[0].line
+
+
 class TestTable:
+    """The kind-level half of the rule: the line-scoped kind set."""
+
     def test_every_action_kind_declared(self):
-        assert set(FOOTPRINTS) == set(ACTION_KINDS)
+        # Every kind gets a footprint by construction, and the
+        # line-scoped set names no kind that does not exist.
+        fp, line = smoke_context()
+        for kind in ACTION_KINDS:
+            assert ("line", fp.line_class[0]) in fp.footprint(
+                Action(kind, 0, line, 0))
+        assert LINE_SCOPED_KINDS <= set(ACTION_KINDS)
 
     def test_only_core_ops_touch_lru(self):
-        bumping = {k for k, fp in FOOTPRINTS.items() if fp.touches_lru}
+        fp, line = smoke_context()
+        bumping = {k for k in ACTION_KINDS
+                   if ("lru", 0) in fp.footprint(Action(k, 0, line, 0))}
         assert bumping == {"load", "store"}
+
+    def test_unlisted_kind_gets_widest_footprint(self):
+        # A kind the rule does not name must not be declared independent
+        # of anything a listed kind could conflict with: line, directory
+        # bank and recency order.
+        fp, line = smoke_context()
+        prefetch = fp.footprint(Action("prefetch", 0, line, 0))
+        assert prefetch == {("line", fp.line_class[0]),
+                            ("dir", fp.dir_bank[0]), ("lru", 0)}
+        widest = set().union(*(fp.footprint(Action(k, 0, line, 0))
+                               for k in ACTION_KINDS))
+        assert prefetch == widest
 
 
 class TestContext:

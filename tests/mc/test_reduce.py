@@ -1,4 +1,4 @@
-"""Reduction engine: symmetry, sleep sets, parallelism, spill, the gate."""
+"""Reduction engine: symmetry, sleep sets, parallelism, the gate."""
 
 import pytest
 
@@ -60,8 +60,9 @@ class TestSleepMapping:
 
 
 class TestIndependenceVerification:
-    def test_smoke_declarations_hold(self):
-        assert verify_independence(PRESETS["smoke"]) == []
+    @pytest.mark.parametrize("preset", ["smoke", "default", "direvict"])
+    def test_preset_declarations_hold(self, preset):
+        assert verify_independence(PRESETS[preset]) == []
 
     def test_symmetric_model_declarations_hold(self):
         assert verify_independence(two_line_model(), max_states=250) == []
@@ -107,17 +108,6 @@ class TestParallelAndSpill:
         parallel = explore(PRESETS["smoke"], jobs=2)
         assert (serial.states, serial.transitions, serial.races) == \
                (parallel.states, parallel.transitions, parallel.races)
-
-    def test_spill_always_matches_in_memory(self):
-        plain = explore(PRESETS["smoke"], reduce=True)
-        spilled = explore(PRESETS["smoke"], reduce=True, spill="always")
-        assert (plain.states, plain.transitions) == \
-               (spilled.states, spilled.transitions)
-        assert spilled.spill_segments > 0
-
-    def test_bad_spill_mode_rejected(self):
-        with pytest.raises(ValueError):
-            explore(PRESETS["smoke"], spill="sometimes")
 
     def test_parallel_reduced_mutation_still_caught(self):
         result = explore(PRESETS["smoke"], mutation="skip-2a-invalidate",

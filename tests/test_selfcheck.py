@@ -90,93 +90,3 @@ class TestS002MeasuredPaths:
         assert finding.rule == "S002"
         assert finding.path == "src/repro/tool.py"
         assert "reads no wall clock" in finding.message
-
-
-GOOD_PRESETS = '''
-ACTION_KINDS = ("load", "store", "wb")
-'''
-
-GOOD_ACTIONS = '''
-def candidates(model):
-    out = []
-    for kind in model.alphabet:
-        if kind == "load":
-            out.append(Action("load", 0, 0, 0))
-        elif kind in ("store", "wb"):
-            out.append(Action(kind, 0, 0, -1))
-    return out
-'''
-
-GOOD_FOOTPRINTS = '''
-FOOTPRINTS = {
-    "load": KindFootprint(touches_lru=True),
-    "store": KindFootprint(touches_lru=True),
-    "wb": KindFootprint(),
-}
-'''
-
-
-class TestS003FootprintTable:
-    def scan(self, presets=GOOD_PRESETS, actions=GOOD_ACTIONS,
-             footprints=GOOD_FOOTPRINTS):
-        return selfcheck.scan_footprint_table(presets, actions, footprints)
-
-    def test_real_tree_passes(self):
-        assert selfcheck.check_footprint_table() == []
-
-    def test_complete_table_passes(self):
-        assert self.scan() == []
-
-    def test_kind_missing_from_table_flagged(self):
-        broken = GOOD_FOOTPRINTS.replace(
-            '    "wb": KindFootprint(),\n', "")
-        findings = self.scan(footprints=broken)
-        assert any(f.rule == "S003" and "'wb'" in f.message
-                   and "no entry" in f.message for f in findings)
-
-    def test_kind_introduced_in_actions_needs_entry(self):
-        # A new Action("flush", ...) constructed only in actions.py --
-        # never added to ACTION_KINDS -- still needs a footprint.
-        grown = GOOD_ACTIONS + '''
-def extra(model):
-    return Action("flush", 0, 0, -1)
-'''
-        findings = self.scan(actions=grown)
-        assert any("'flush'" in f.message and "no entry" in f.message
-                   for f in findings)
-
-    def test_stale_table_entry_flagged(self):
-        stale = GOOD_FOOTPRINTS.replace(
-            '    "wb": KindFootprint(),\n',
-            '    "wb": KindFootprint(),\n'
-            '    "prefetch": KindFootprint(),\n')
-        findings = self.scan(footprints=stale)
-        assert any("'prefetch'" in f.message and "stale" in f.message
-                   for f in findings)
-
-    def test_missing_table_flagged(self):
-        findings = self.scan(footprints="OTHER = 1\n")
-        assert any("FOOTPRINTS dict literal not found" in f.message
-                   for f in findings)
-
-    def test_annotated_table_assignment_accepted(self):
-        annotated = GOOD_FOOTPRINTS.replace(
-            "FOOTPRINTS = {", "FOOTPRINTS: Dict[str, KindFootprint] = {")
-        assert self.scan(footprints=annotated) == []
-
-    def test_missing_action_kinds_anchor_flagged(self):
-        findings = self.scan(presets="OTHER = 1\n")
-        assert any("ACTION_KINDS" in f.message for f in findings)
-
-    def test_kind_comparison_forms_collected(self):
-        # kinds appearing via == / membership tests are also anchored.
-        compares = '''
-def classify(action):
-    if action.kind == "inv":
-        return 1
-    if action.kind in ("evict",):
-        return 2
-'''
-        findings = self.scan(actions=GOOD_ACTIONS + compares)
-        assert any("'inv'" in f.message for f in findings)
-        assert any("'evict'" in f.message for f in findings)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Repo-invariant meta-lint: AST checks over the simulator's own source.
 
-The repository relies on two source-level invariants that ordinary tests
-can only probe pointwise, because both are about *code shape* rather
+The repository relies on one source-level invariant that ordinary
+tests can only probe pointwise, because it is about *code shape* rather
 than behaviour:
 
 S001  retired with the executor's inlined hit paths it checked; the
@@ -21,16 +21,9 @@ S002  deterministic measured paths: simulation/analysis code must not
       stale entries: each one must name a file under ``src/repro``
       that reads a wall clock.
 
-S003  footprint-table coverage: every model-checker action kind --
-      declared in ``mc/presets.py``'s ``ACTION_KINDS`` or constructed /
-      dispatched in ``mc/actions.py`` -- must carry an entry in
-      ``mc/footprints.py``'s ``FOOTPRINTS`` table, and the table must
-      not carry stale entries for kinds that no longer exist. The
-      partial-order reduction derives action independence from these
-      declared footprints, so an action kind silently missing from the
-      table would make the reduction *unsound* (the runtime also
-      fail-fasts, but only on models that use the kind; this catches
-      it on every CI run).
+S003  retired with the model checker's per-kind footprint table it
+      checked; the number is not reused. An action kind the footprints
+      do not name now gets the widest footprint, so it needs no rule.
 
 S004  retired with the executor it checked; the number is not reused.
 
@@ -178,160 +171,14 @@ def check_measured_paths(src_root: pathlib.Path = SRC_ROOT) -> List[Finding]:
     return findings
 
 
-def _kind_literals_in_actions(tree: ast.Module) -> Dict[str, int]:
-    """Action-kind string literals ``mc/actions.py`` works with.
-
-    Collected from (a) literal arguments to ``Action(...)`` calls,
-    (b) ``==``/``!=`` comparisons whose other side is a name or
-    attribute ending in ``kind``, (c) ``kind in (...)`` membership
-    tests, and (d) container literals assigned to ``*KINDS*`` names.
-    Returns kind -> first line number seen.
-    """
-    kinds: Dict[str, int] = {}
-
-    def note(node: ast.AST) -> None:
-        for sub in ast.walk(node):
-            if (isinstance(sub, ast.Constant)
-                    and isinstance(sub.value, str)
-                    and sub.value not in kinds):
-                kinds[sub.value] = sub.lineno
-
-    def is_kindish(node: ast.AST) -> bool:
-        if isinstance(node, ast.Name):
-            return node.id.lower().endswith("kind")
-        if isinstance(node, ast.Attribute):
-            return node.attr.lower().endswith("kind")
-        return False
-
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "Action"):
-            for arg in node.args[:1]:  # kind is the first field
-                note(arg)
-            for kw in node.keywords:
-                if kw.arg == "kind":
-                    note(kw.value)
-        elif isinstance(node, ast.Compare) and len(node.ops) == 1:
-            left, right = node.left, node.comparators[0]
-            if isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
-                if is_kindish(left):
-                    note(right)
-                elif is_kindish(right):
-                    note(left)
-            elif isinstance(node.ops[0], (ast.In, ast.NotIn)):
-                if is_kindish(left):
-                    note(right)
-        elif isinstance(node, ast.Assign):
-            if any(isinstance(t, ast.Name) and "KIND" in t.id.upper()
-                   for t in node.targets):
-                note(node.value)
-    return kinds
-
-
-def _tuple_of_strings(node: ast.AST) -> Optional[List[str]]:
-    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        out = []
-        for element in node.elts:
-            if not (isinstance(element, ast.Constant)
-                    and isinstance(element.value, str)):
-                return None
-            out.append(element.value)
-        return out
-    return None
-
-
-def scan_footprint_table(presets_src: str, actions_src: str,
-                         footprints_src: str,
-                         rel_prefix: str = "src/repro/mc") -> List[Finding]:
-    """S003 findings for one (presets, actions, footprints) triple."""
-    findings: List[Finding] = []
-    rel_presets = f"{rel_prefix}/presets.py"
-    rel_actions = f"{rel_prefix}/actions.py"
-    rel_footprints = f"{rel_prefix}/footprints.py"
-
-    required: Dict[str, tuple] = {}  # kind -> (rel path, line)
-    presets_tree = ast.parse(presets_src)
-    action_kinds = None
-    for node in presets_tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "ACTION_KINDS"
-                for t in node.targets):
-            action_kinds = _tuple_of_strings(node.value)
-            if action_kinds is not None:
-                for kind in action_kinds:
-                    required.setdefault(kind, (rel_presets, node.lineno))
-    if action_kinds is None:
-        findings.append(Finding(
-            "S003", rel_presets, 1,
-            "ACTION_KINDS tuple-of-strings literal not found; the "
-            "footprint-coverage rule cannot anchor the kind set"))
-
-    actions_tree = ast.parse(actions_src)
-    for kind, line in _kind_literals_in_actions(actions_tree).items():
-        required.setdefault(kind, (rel_actions, line))
-
-    footprints_tree = ast.parse(footprints_src)
-    declared: Dict[str, int] = {}
-    table_found = False
-    for node in footprints_tree.body:
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-        else:
-            continue
-        if not any(isinstance(t, ast.Name) and t.id == "FOOTPRINTS"
-                   for t in targets):
-            continue
-        if isinstance(node.value, ast.Dict):
-            table_found = True
-            for key in node.value.keys:
-                if (isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)):
-                    declared[key.value] = key.lineno
-    if not table_found:
-        findings.append(Finding(
-            "S003", rel_footprints, 1,
-            "FOOTPRINTS dict literal not found; every action kind must "
-            "declare its read/write footprint there"))
-        return findings
-
-    for kind in sorted(required):
-        if kind not in declared:
-            path, line = required[kind]
-            findings.append(Finding(
-                "S003", path, line,
-                f"action kind {kind!r} has no entry in the FOOTPRINTS "
-                "table; partial-order reduction would be unsound for "
-                "models using it"))
-    for kind in sorted(declared):
-        if kind not in required:
-            findings.append(Finding(
-                "S003", rel_footprints, declared[kind],
-                f"FOOTPRINTS declares unknown action kind {kind!r} "
-                "(stale table entry?)"))
-    return findings
-
-
-def check_footprint_table(src_root: pathlib.Path = SRC_ROOT) -> List[Finding]:
-    """S003: every mc action kind carries a declared footprint."""
-    mc = src_root / "mc"
-    rel_prefix = (mc.relative_to(src_root.parent.parent)).as_posix()
-    return scan_footprint_table(
-        (mc / "presets.py").read_text(),
-        (mc / "actions.py").read_text(),
-        (mc / "footprints.py").read_text(),
-        rel_prefix=rel_prefix)
-
-
 def run_all(src_root: pathlib.Path = SRC_ROOT) -> List[Finding]:
-    return check_measured_paths(src_root) + check_footprint_table(src_root)
+    return check_measured_paths(src_root)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="repo-invariant meta-lint (S002 deterministic "
-                    "paths, S003 footprint table)")
+                    "paths)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
     args = parser.parse_args(argv)
