@@ -64,3 +64,25 @@ def canonical_json(obj) -> str:
 
 def digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+
+
+def write_atomically(path: pathlib.Path, write) -> None:
+    """Create ``path`` by ``write(fh)`` into a temp file, then a rename.
+
+    Readers see the old file or the whole new one, never part of a
+    write. When ``write`` or the rename fails, the temp file is removed
+    before the error propagates, so a failed write (a full disk, an
+    unpicklable payload) leaves nothing behind.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise

@@ -17,13 +17,13 @@ miss.
 
 from __future__ import annotations
 
-import os
 import pathlib
 import pickle
 from typing import Optional, Union
 
 from repro.cache import srchash
-from repro.cache.keys import cache_enabled, cache_root, canonical, digest
+from repro.cache.keys import (cache_enabled, cache_root, canonical, digest,
+                              write_atomically)
 from repro.cache.results import ReuseStats
 from repro.errors import FreezeError
 from repro.mem.address import WORD_SHIFT
@@ -80,17 +80,21 @@ class ProgramStore:
         return frozen
 
     def save(self, key: dict, frozen: FrozenProgram) -> bool:
-        """Store one artifact (atomically); False on any write failure."""
-        path = self._path(digest(key))
+        """Store one artifact (atomically); False on any write failure.
+
+        Successes count in ``PROGRAM_STATS.stores`` and failures in its
+        ``put_failures``; a failed write leaves no temp file behind.
+        """
         payload = {"schema": PROGRAM_SCHEMA, "key": key, "frozen": frozen}
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-            with open(tmp, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
+            write_atomically(
+                self._path(digest(key)),
+                lambda fh: pickle.dump(payload, fh,
+                                       protocol=pickle.HIGHEST_PROTOCOL))
         except (OSError, pickle.PicklingError):
+            PROGRAM_STATS.put_failures += 1
             return False
+        PROGRAM_STATS.stores += 1
         return True
 
 
@@ -125,12 +129,9 @@ def load_artifact(path) -> FrozenProgram:
 
 def dump_artifact(frozen: FrozenProgram, path) -> None:
     """Write one frozen program as a standalone artifact file."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    with open(tmp, "wb") as fh:
-        pickle.dump(frozen, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(tmp, path)
+    write_atomically(
+        pathlib.Path(path),
+        lambda fh: pickle.dump(frozen, fh, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def build_program(name: str, workload, machine
@@ -172,6 +173,5 @@ def build_program(name: str, workload, machine
         if words:
             frozen.initial_memory = {word << WORD_SHIFT: value
                                      for word, value in words.items()}
-    if store.save(key, frozen):
-        PROGRAM_STATS.stores += 1
+    store.save(key, frozen)
     return program

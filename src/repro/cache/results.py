@@ -19,13 +19,12 @@ inconsistent is treated as a miss.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.cache import srchash
-from repro.cache.keys import cache_root, digest
+from repro.cache.keys import cache_root, digest, write_atomically
 from repro.coherence.messages import MessageCounters
 from repro.sim.stats import RunStats
 from repro.types import MessageType, SegmentClass
@@ -202,7 +201,8 @@ class ResultCache:
     def put(self, cell, stats) -> bool:
         """Store one result (atomically). Returns False -- never raises
         -- when the cell is unkeyable or the write fails; either way the
-        failure is counted in ``put_failures``, never silent."""
+        failure is counted in ``put_failures``, never silent, and a
+        failed write leaves no temp file behind."""
         if not isinstance(stats, RunStats):
             return self._put_failed()
         fingerprint = self.fingerprint(cell)
@@ -210,12 +210,10 @@ class ResultCache:
             return self._put_failed()
         entry = {"schema": RESULT_SCHEMA, "key": cell_key(cell)}
         entry.update(encode_stats(stats))
-        path = self._path(fingerprint)
+        text = json.dumps(entry, sort_keys=True) + "\n"
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-            tmp.write_text(json.dumps(entry, sort_keys=True) + "\n")
-            os.replace(tmp, path)
+            write_atomically(self._path(fingerprint),
+                             lambda fh: fh.write(text.encode()))
         except OSError:
             return self._put_failed()
         self.stores += 1

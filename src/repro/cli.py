@@ -502,7 +502,7 @@ def cmd_mc(args) -> int:
             fh.write(f"| `{result.preset}` | "
                      f"{result.mutation or '-'} | "
                      f"{result.states} | {result.transitions} | "
-                     f"{coverage} | {status} |\n")
+                     f"{result.elapsed:.2f} | {coverage} | {status} |\n")
 
     if args.json:
         print(json.dumps(result.as_dict(), indent=2))
@@ -893,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "reduction (explore the full product)")
     p_mc.add_argument("--jobs", "-j", type=int, default=None,
                       help="worker processes for frontier expansion "
-                           "(default: all cores)")
+                           "(0 = one per CPU; default: $REPRO_JOBS or 1)")
     p_mc.add_argument("--equality-gate", action="store_true",
                       help="run the preset unreduced AND reduced, diff "
                            "verdicts and orbit counts; exit 1 on mismatch")

@@ -35,6 +35,8 @@ for Figure 9c.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigError, ProtocolError
@@ -115,6 +117,19 @@ class _Occupancy:
         self.count_by_class = _ZERO_COUNTS.copy()
         self.max_count = 0
 
+    def reset(self) -> None:
+        """Restart at time zero with no entries, keeping this object.
+
+        Banks share the machine-wide tracker by reference, so a rewind
+        must zero it in place rather than replace it.
+        """
+        self.last_time = 0.0
+        self.weighted = 0.0
+        self.weighted_by_class.update(_ZERO_WEIGHTED)
+        self.count = 0
+        self.count_by_class.update(_ZERO_COUNTS)
+        self.max_count = 0
+
     def advance(self, now: float) -> None:
         dt = now - self.last_time
         if dt <= 0:
@@ -183,11 +198,24 @@ class BaseDirectory:
     def get(self, line: int) -> Optional[DirectoryEntry]:
         raise NotImplementedError
 
+    def set_of(self, line: int) -> Dict[int, DirectoryEntry]:
+        """The live ``line -> entry`` dict that holds ``line``'s entry.
+
+        The dict lives as long as the bank (restores clear it in
+        place), so ``set_of(line).get(line)`` is :meth:`get` and a
+        caller may hold the dict across restores.
+        """
+        raise NotImplementedError
+
     def _insert(self, entry: DirectoryEntry) -> Optional[DirectoryEntry]:
         """Store ``entry``; return a victim entry if one had to be evicted."""
         raise NotImplementedError
 
     def _delete(self, line: int) -> Optional[DirectoryEntry]:
+        raise NotImplementedError
+
+    def _clear(self) -> None:
+        """Drop every entry (no accounting; :meth:`restore` redoes it)."""
         raise NotImplementedError
 
     def entries(self) -> Iterator[DirectoryEntry]:
@@ -269,7 +297,7 @@ class BaseDirectory:
         same replacement order produce identical snapshots regardless of
         how many lookups each has absorbed.
         """
-        ordered = sorted(self.entries(), key=lambda e: e.lru)
+        ordered = sorted(self.entries(), key=attrgetter("lru"))
         return [(e.line, e.state, e.sharers, e.broadcast, e.klass)
                 for e in ordered]
 
@@ -277,25 +305,29 @@ class BaseDirectory:
         """Reset contents to a :meth:`snapshot`.
 
         Occupancy accounting restarts from time zero with the restored
-        entry counts; time-weighted statistics accumulated since the
-        snapshot are discarded (the model checker rewinds time anyway).
+        entry counts, reset in place; time-weighted statistics
+        accumulated since the snapshot are discarded (the model checker
+        rewinds time anyway). The machine-wide tracker is the memory
+        system's to rebuild, since it sums every bank.
         """
-        for line in [e.line for e in self.entries()]:
-            self._delete(line)
-        self._tick = 0
-        self.occupancy = _Occupancy()
+        self._clear()
+        occupancy = self.occupancy
+        occupancy.reset()
+        by_class = occupancy.count_by_class
+        tick = 0
         for line, state, sharers, broadcast, klass in snap:
             entry = DirectoryEntry(line, klass)
             entry.state = state
             entry.sharers = sharers
             entry.broadcast = broadcast
-            self.touch(entry)
+            tick += 1
+            entry.lru = tick
             if self._insert(entry) is not None:
                 raise ProtocolError(
                     f"directory restore overflowed a set at {line:#x}")
-            self.occupancy.count += 1
-            self.occupancy.count_by_class[klass] += 1
-        self.occupancy.max_count = self.occupancy.count
+            by_class[klass] += 1
+        self._tick = tick
+        occupancy.count = occupancy.max_count = tick
 
     def invalidation_targets(self, entry: DirectoryEntry, n_clusters: int,
                              exclude: int = -1) -> Tuple[List[int], bool]:
@@ -322,12 +354,18 @@ class InfiniteDirectory(BaseDirectory):
     def get(self, line: int) -> Optional[DirectoryEntry]:
         return self._entries.get(line)
 
+    def set_of(self, line: int) -> Dict[int, DirectoryEntry]:
+        return self._entries
+
     def _insert(self, entry: DirectoryEntry) -> Optional[DirectoryEntry]:
         self._entries[entry.line] = entry
         return None
 
     def _delete(self, line: int) -> Optional[DirectoryEntry]:
         return self._entries.pop(line, None)
+
+    def _clear(self) -> None:
+        self._entries.clear()
 
     def entries(self) -> Iterator[DirectoryEntry]:
         return iter(self._entries.values())
@@ -361,11 +399,11 @@ class SparseDirectory(BaseDirectory):
         # whole-bank walks must not touch the empty ones.
         self._occupied: Dict[int, None] = {}
 
-    def _set_of(self, line: int) -> Dict[int, DirectoryEntry]:
+    def set_of(self, line: int) -> Dict[int, DirectoryEntry]:
         return self.sets[line % self.n_sets]
 
     def get(self, line: int) -> Optional[DirectoryEntry]:
-        return self._set_of(line).get(line)
+        return self.set_of(line).get(line)
 
     def touch(self, entry: DirectoryEntry) -> None:
         self._tick += 1
@@ -380,7 +418,7 @@ class SparseDirectory(BaseDirectory):
             bucket[line] = entry
 
     def _insert(self, entry: DirectoryEntry) -> Optional[DirectoryEntry]:
-        bucket = self._set_of(entry.line)
+        bucket = self.set_of(entry.line)
         victim = None
         if len(bucket) >= self.assoc:
             victim = bucket.pop(next(iter(bucket)))
@@ -396,9 +434,17 @@ class SparseDirectory(BaseDirectory):
             self._occupied.pop(index, None)
         return entry
 
+    def _clear(self) -> None:
+        occupied = self._occupied
+        if occupied:
+            sets = self.sets
+            for index in occupied:
+                sets[index].clear()
+            occupied.clear()
+
     def entries(self) -> Iterator[DirectoryEntry]:
-        for index in tuple(self._occupied):
-            yield from self.sets[index].values()
+        return chain.from_iterable(
+            map(dict.values, map(self.sets.__getitem__, tuple(self._occupied))))
 
     def __len__(self) -> int:
         return sum(len(self.sets[index]) for index in self._occupied)

@@ -106,6 +106,12 @@ class MemorySystem:
         self.dram.obs = self.obs
         self.net = Network(config)
         self.net.obs = self.obs
+        #: Every memory-side timing resource (bank ports, tree links,
+        #: crossbar, DRAM channels), for :meth:`reset_contention`.
+        self.resources = (*self.bank_ports.members,
+                          *self.net.up_links.members,
+                          *self.net.down_links.members, self.net.crossbar,
+                          *self.dram.channels.members)
         self.backing = BackingStore() if config.track_data else NullBackingStore()
         self.coarse = CoarseRegionTable()
         self.fine = FineRegionTable(self.layout.fine_table_base)
@@ -147,19 +153,33 @@ class MemorySystem:
         }
 
     def restore(self, snap: dict) -> None:
-        """Reset protocol state to a :meth:`snapshot` and rewind timing."""
+        """Reset protocol state to a :meth:`snapshot` and rewind timing.
+
+        The machine-wide directory tracker is zeroed in place (every
+        bank keeps its reference to it) and refilled from the banks
+        that hold entries, so an empty bank costs nothing beyond its
+        own restore. Only timing resources that hold a reservation do
+        any work to forget it (see :meth:`Resource.reset`).
+        """
         for bank, bank_snap in zip(self.l3, snap["l3"]):
             bank.restore(bank_snap)
-        for bank_dir, dir_snap in zip(self.dirs, snap["dirs"]):
-            bank_dir.restore(dir_snap)
-        if self.dirs:
-            self.dir_occupancy = _Occupancy()
-            for bank_dir in self.dirs:
-                bank_dir.global_occupancy = self.dir_occupancy
-                self.dir_occupancy.count += bank_dir.occupancy.count
-                for klass, count in bank_dir.occupancy.count_by_class.items():
-                    self.dir_occupancy.count_by_class[klass] += count
-            self.dir_occupancy.max_count = self.dir_occupancy.count
+        total = self.dir_occupancy
+        if total is not None:
+            total.reset()
+            by_class = total.count_by_class
+            for bank_dir, dir_snap in zip(self.dirs, snap["dirs"]):
+                bank_dir.restore(dir_snap)
+                if not dir_snap:
+                    continue
+                occupancy = bank_dir.occupancy
+                if total.count:
+                    for klass, count in occupancy.count_by_class.items():
+                        if count:
+                            by_class[klass] += count
+                else:  # all zeros so far: copy, without hashing a class
+                    by_class.update(occupancy.count_by_class)
+                total.count += occupancy.count
+            total.max_count = total.count
         self.fine.restore(snap["fine"])
         self.backing.restore(snap["backing"])
         self.reset_contention()
@@ -167,9 +187,8 @@ class MemorySystem:
 
     def reset_contention(self) -> None:
         """Drop reserved capacity on every timing resource (stats kept)."""
-        self.bank_ports.reset()
-        self.net.reset_contention()
-        self.dram.reset_contention()
+        for resource in self.resources:
+            resource.reset()
 
     # -- directory helpers -------------------------------------------------------
     def _bank(self, line: int) -> int:

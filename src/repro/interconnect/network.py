@@ -82,9 +82,3 @@ class Network:
         """Convenience: request down, ``service`` cycles, reply back up."""
         arrive = self.to_l3(cluster, now)
         return self.to_cluster(cluster, arrive + service)
-
-    def reset_contention(self) -> None:
-        """Drop all reserved link/crossbar capacity (stats untouched)."""
-        self.up_links.reset()
-        self.down_links.reset()
-        self.crossbar.reset()

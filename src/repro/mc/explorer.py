@@ -33,14 +33,26 @@ state. What remains is exactly the protocol -- cache line flags and
 values, directory entries, table bits, replacement order -- which is
 why the default preset closes its frontier in seconds.
 
-A transition costs little more than the modeled lines it touches.
-:func:`~repro.mc.state.extract_state` renames write-counter values as
-it walks, so the 16-byte digest of the extracted parts
-(:func:`~repro.mc.state.semi_key`) already identifies the successor up
-to value renaming; only a successor not met before pays the
-minimisation over permutations. The first action from a frontier entry
-reuses the restore its guards were read under, and a cluster whose
-L1s are all empty restores without walking them.
+A transition costs what the snapshot and the modeled lines hold, not
+what the machine is built with:
+
+* ``Machine.restore`` clears only the caches that hold lines (a
+  cluster's occupied L1s are picked out without a call per cache),
+  zeroes the directory occupancy trackers in place, and skips every
+  timing resource that holds no reservation. The first action from a
+  frontier entry reuses the restore its guards were read under.
+* :func:`~repro.mc.state.extract_state` reads through the machine's
+  :class:`~repro.mc.state.ExtractPlan`, built on first use: each
+  modeled line's directory and cache set dicts, its word addresses and
+  the stale whitelist's word positions, so no bank or address is
+  recomputed per transition. It renames write-counter values as it
+  walks, so the 16-byte digest of the extracted parts
+  (:func:`~repro.mc.state.semi_key`) already identifies the successor
+  up to value renaming; only a successor not met before pays the
+  minimisation over permutations.
+* Sleep sets move between frames through per-permutation index tables
+  (:class:`~repro.mc.reduce.ReductionContext`), built on a
+  permutation's first use.
 """
 
 from __future__ import annotations
@@ -185,9 +197,13 @@ def _expand_entries(state: _WorkerState, model: ModelConfig,
             sleep = frozenset()
         explored = [i for i in enabled if i not in sleep]
         trans: List[tuple] = []
-        earlier: List[int] = []
+        # The state's sleep set plus the siblings explored so far.
+        prior = set(sleep)
+        first = True
         for index in explored:
-            if earlier:  # guards only read: the first action needs none
+            if first:  # guards only read: the first action needs none
+                first = False
+            else:
                 machine.restore(msnap)
             spec.restore(ssnap)
             outcome = apply_action(machine, model, spec,
@@ -195,13 +211,11 @@ def _expand_entries(state: _WorkerState, model: ModelConfig,
             raw = extract_state(machine, model, spec)
             sdigest, sperm, orbit = _canonicalize(state, raw, reduce)
             if reduce:
-                inherited = ctx.successor_sleep(index,
-                                                sleep.union(earlier))
-                succ_sleep = tuple(sorted(
-                    ctx.sleep_to_canonical(inherited, sperm)))
+                succ_sleep = ctx.sleep_to_canonical(
+                    ctx.successor_sleep(index, prior), sperm)
             else:
                 succ_sleep = ()
-            earlier.append(index)
+            prior.add(index)
             if sdigest in state.shipped:
                 full = None
             else:

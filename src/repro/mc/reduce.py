@@ -45,7 +45,7 @@ diffs the verdicts and orbit counts.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -123,6 +123,10 @@ class ReductionContext:
     indep: Tuple[FrozenSet[int], ...]      # idx -> indices independent of it
     line_perms: Tuple[Tuple[int, ...], ...]
     cluster_orders: Tuple[Tuple[int, ...], ...]
+    #: perm -> (to-canonical, to-concrete) candidate index maps, built
+    #: on a perm's first use; sleep sets are mapped on every transition.
+    frames: Dict[Perm, Tuple[Tuple[int, ...], Tuple[int, ...]]] = field(
+        default_factory=dict, repr=False)
 
     def canonicalize(self, raw) -> Tuple[tuple, Perm, int]:
         """Minimise ``raw`` over the full symmetry group.
@@ -167,11 +171,22 @@ class ReductionContext:
         line = self.model.lines[lam[self.fp.slot_of_line[a.line]]].line
         return self.lookup[(a.kind, cluster, line, a.word)]
 
-    def sleep_to_canonical(self, indices, perm: Perm) -> FrozenSet[int]:
-        return frozenset(self.to_canonical_action(i, perm) for i in indices)
+    def _frame(self, perm: Perm) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        frame = self.frames.get(perm)
+        if frame is None:
+            every = range(len(self.candidates))
+            frame = self.frames[perm] = (
+                tuple(self.to_canonical_action(i, perm) for i in every),
+                tuple(self.to_concrete_action(i, perm) for i in every))
+        return frame
+
+    def sleep_to_canonical(self, indices, perm: Perm) -> Tuple[int, ...]:
+        """``indices`` in the canonical frame, as the sorted tuple the
+        explorer stores and ships."""
+        return tuple(sorted(map(self._frame(perm)[0].__getitem__, indices)))
 
     def sleep_to_concrete(self, indices, perm: Perm) -> FrozenSet[int]:
-        return frozenset(self.to_concrete_action(i, perm) for i in indices)
+        return frozenset(map(self._frame(perm)[1].__getitem__, indices))
 
     def successor_sleep(self, action_index: int, prior) -> FrozenSet[int]:
         """Sleep set inherited by the successor of ``action_index``.
@@ -180,7 +195,7 @@ class ReductionContext:
         sibling actions already explored before this one; only members
         independent of the action survive into the successor.
         """
-        return frozenset(prior) & self.indep[action_index]
+        return self.indep[action_index].intersection(prior)
 
 
 @lru_cache(maxsize=None)

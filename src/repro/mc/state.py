@@ -48,11 +48,17 @@ bounded directory picks eviction victims by it.
 from __future__ import annotations
 
 import marshal
+from functools import lru_cache
 from hashlib import blake2b
-from itertools import permutations
+from itertools import compress, permutations
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.mem.address import LINE_SHIFT, WORD_BYTES, line_base
+
+#: The slot of an ``(lru, slot)`` rank pair, and an entry's LRU age.
+_SLOT = itemgetter(1)
+_LRU = attrgetter("lru")
 
 
 class SpecState:
@@ -91,6 +97,8 @@ class SpecState:
         anything else (copy invalidated, line re-fetched, word
         overwritten) ends the legal-staleness window.
         """
+        if not self.stale:
+            return
         dead = []
         for cid, word_addr in self.stale:
             line = word_addr >> LINE_SHIFT
@@ -148,64 +156,135 @@ def semi_key(raw) -> bytes:
     return digest(raw)
 
 
+class ExtractPlan:
+    """Everything :func:`extract_state` reads, resolved once per machine.
+
+    ``lines`` holds, per modeled line (by slot), the line number, its
+    directory bank (``None`` without a directory) and that bank's set
+    dict holding the line. The *walk* is every cache position whose
+    entry the state records, in the order values are renamed: each
+    line's L3 set, then per cluster and line the L2's and core 0's
+    L1D's (the only L1 the checker's actions fill). ``sets`` and
+    ``walk_lines`` give each position's set dict and line, and
+    ``meta`` its line's ``(word, bit)`` pairs, its slot, and which rank
+    list (per cluster and level; ``None`` for the L3) its LRU age
+    joins. ``addrs`` holds each line's word addresses, and ``word_pos``
+    maps a word address to its ``(slot, position)`` for the stale
+    whitelist.
+
+    All of these are fixed when the machine is built: set dicts are
+    cleared in place, never replaced (see :meth:`Cache.set_of`), so a
+    transition pays for no bank lookup, address arithmetic or ``peek``
+    call. The plan lives on its machine (``Machine.extract_plan``) and
+    dies with it.
+    """
+
+    def __init__(self, machine, model) -> None:
+        ms = machine.memsys
+        self.model = model
+        self.fine = ms.fine
+        self.n_clusters = len(machine.clusters)
+        self.lines = []
+        self.addrs = []
+        self.word_pos: Dict[int, Tuple[int, int]] = {}
+        bits = [tuple((w, 1 << w) for w in ls.words) for ls in model.lines]
+        walk = []  # (set dict, line, (bits, slot, rank list))
+        for slot, ls in enumerate(model.lines):
+            line = ls.line
+            bank = ms.map.bank_of_line(line)
+            bank_dir = ms.dirs[bank] if ms.dirs else None
+            self.lines.append((line, bank_dir, None if bank_dir is None
+                               else bank_dir.set_of(line)))
+            addrs = tuple(line_base(line) + w * WORD_BYTES for w in ls.words)
+            self.addrs.append(addrs)
+            for pos, addr in enumerate(addrs):
+                self.word_pos.setdefault(addr, (slot, pos))
+            walk.append((ms.l3[bank].set_of(line), line,
+                         (bits[slot], slot, None)))
+        for cid, cluster in enumerate(machine.clusters):
+            for slot, ls in enumerate(model.lines):
+                for rank, cache in ((2 * cid, cluster.l2),
+                                    (2 * cid + 1, cluster.l1d[0])):
+                    walk.append((cache.set_of(ls.line), ls.line,
+                                 (bits[slot], slot, rank)))
+        self.sets, self.walk_lines, self.meta = (tuple(part)
+                                                 for part in zip(*walk))
+        self.positions = range(len(walk))
+
+
 def extract_state(machine, model, spec: SpecState) -> tuple:
     """One walk over the machine collecting permutation-independent raw
     parts; :func:`render_signature` then permutes and renames cheaply.
 
+    The parts are ``(lines, entries, ranks, mem, stale)``:
+
+    * ``lines`` -- two items per line slot: the fine-table SWcc bit and
+      the directory entry, ``None`` or ``(state, sharer mask,
+      broadcast, rank)``;
+    * ``entries`` -- one item per position of the plan's walk (every
+      line's L3 entry, then per cluster and line its L2 and L1D
+      entries): ``None`` or ``(valid, dirty, incoherent, *values)``
+      with ``None`` for an invalid word;
+    * ``ranks`` -- per cluster, the slots resident in its L2 and then
+      in its L1D, oldest first;
+    * ``mem`` -- per line slot, the committed values of its words;
+    * ``stale`` -- the sorted ``(cluster, slot, word position)``
+      triples of the stale whitelist.
+
     Write-counter values are renamed in first-appearance order along
-    the walk, and the stale whitelist comes back as a sorted tuple, so
-    two concrete states that differ only in which counters they hold
-    (or in the history that filled ``spec.stale``) extract equal parts.
+    the walk (entries, then ``mem``), so two concrete states that
+    differ only in which counters they hold, or in the history that
+    filled ``spec.stale``, extract equal parts. The walk reads through
+    the machine's :class:`ExtractPlan`, built on the first call for
+    ``model``, and calls no Python function per cache entry.
     """
-    ms = machine.memsys
+    plan = machine.extract_plan
+    if plan is None or plan.model is not model:
+        plan = machine.extract_plan = ExtractPlan(machine, model)
     rename: Dict[int, int] = {}
-    lines_part: List[tuple] = []
-    for ls in model.lines:
-        line = ls.line
-        bank = ms.map.bank_of_line(line)
-        dentry = ms.dirs[bank].get(line) if ms.dirs else None
-        if dentry is None:
-            dir_raw = None
-        else:
-            dir_raw = (dentry.state, tuple(dentry.sharer_ids()),
-                       1 if dentry.broadcast else 0,
-                       _dir_rank(ms.dirs[bank], dentry))
-        lines_part.append((1 if ms.fine.is_swcc(line) else 0, dir_raw,
-                           _entry_raw(ms.l3[bank].peek(line), ls.words,
-                                      rename)))
-    cluster_part: List[tuple] = []
-    for cluster in machine.clusters:
-        entries = []
-        l2_rank = []
-        l1_rank = []
-        for index, ls in enumerate(model.lines):
-            e2 = cluster.l2.peek(ls.line)
-            e1 = cluster.l1d[0].peek(ls.line)
-            entries.append((_entry_raw(e2, ls.words, rename),
-                            _entry_raw(e1, ls.words, rename)))
-            if e2 is not None:
-                l2_rank.append((e2.lru, index))
-            if e1 is not None:
-                l1_rank.append((e1.lru, index))
-        cluster_part.append((tuple(entries),
-                             tuple([i for _lru, i in sorted(l2_rank)]),
-                             tuple([i for _lru, i in sorted(l1_rank)])))
-    expected = spec.expected
-    mem_part = tuple([
-        tuple([rename.setdefault(
-                   expected(line_base(ls.line) + w * WORD_BYTES), len(rename))
-               for w in ls.words])
-        for ls in model.lines])
-    slot_of_line = {ls.line: slot for slot, ls in enumerate(model.lines)}
-    stale_part = []
-    for cid, word_addr in spec.stale:
-        line = word_addr >> LINE_SHIFT
-        slot = slot_of_line[line]
-        word = (word_addr - line_base(line)) // WORD_BYTES
-        stale_part.append((cid, slot, model.lines[slot].words.index(word)))
-    stale_part.sort()
-    return (tuple(lines_part), tuple(cluster_part), mem_part,
-            tuple(stale_part))
+    setdefault = rename.setdefault
+    ranks: List[list] = [[] for _ in range(2 * plan.n_clusters)]
+    # Every walk position's entry, looked up at C speed; only resident
+    # ones (CacheLine objects are true) are replaced by their raw form.
+    entries = list(map(dict.get, plan.sets, plan.walk_lines))
+    meta = plan.meta
+    for index in compress(plan.positions, entries):
+        entry = entries[index]
+        bits, slot, rank = meta[index]
+        if rank is not None:
+            ranks[rank].append((entry.lru, slot))
+        data = entry.data
+        valid_mask = entry.valid_mask
+        raw = [valid_mask, entry.dirty_mask, entry.incoherent]
+        for word, bit in bits:
+            raw.append(setdefault(data[word], len(rename))
+                       if data is not None and valid_mask & bit else None)
+        entries[index] = tuple(raw)
+    is_swcc = plan.fine.is_swcc
+    lines = []
+    for line, bank_dir, dir_set in plan.lines:
+        lines.append(1 if is_swcc(line) else 0)
+        dentry = None if dir_set is None else dir_set.get(line)
+        lines.append(None if dentry is None else
+                     (dentry.state, dentry.sharers, dentry.broadcast,
+                      _dir_rank(bank_dir, dentry)))
+    committed = spec.mem.get
+    mem = []
+    for addrs in plan.addrs:
+        values = []
+        for addr in addrs:
+            values.append(setdefault(committed(addr, 0), len(rename)))
+        mem.append(tuple(values))
+    stale = spec.stale
+    if stale:
+        word_pos = plan.word_pos
+        stale_part = tuple(sorted([(cid, *word_pos[word_addr])
+                                   for cid, word_addr in stale]))
+    else:
+        stale_part = ()
+    return (tuple(lines), tuple(entries),
+            tuple([tuple(map(_SLOT, sorted(r))) for r in ranks]),
+            tuple(mem), stale_part)
 
 
 def render_signature(raw, order: Tuple[int, ...],
@@ -223,69 +302,83 @@ def render_signature(raw, order: Tuple[int, ...],
     ``p`` of the signature describes line slot ``lineperm[p]``. ``None``
     means identity (no line relabeling).
     """
-    lines_part, cluster_part, mem_part, stale = raw
-    n_lines = len(lines_part)
+    lines, entries, ranks, mem, stale = raw
+    n_lines = len(mem)
     if lineperm is None:
-        lineperm = tuple(range(n_lines))
-        posof = lineperm
-    else:
-        posof = [0] * n_lines
-        for pos, src in enumerate(lineperm):
-            posof[src] = pos
+        lineperm = range(n_lines)
+    posof, walk = _relabeling(n_lines, order, tuple(lineperm))
+    picked = list(map(entries.__getitem__, walk))
     rename: Dict[int, int] = {}
-    slot = {cid: i for i, cid in enumerate(order)}
+    setdefault = rename.setdefault
+    rendered: List[tuple] = [(0,)] * len(picked)  # (0,): absent
+    for index in compress(range(len(picked)), picked):
+        valid_mask, dirty_mask, incoherent, *values = picked[index]
+        renamed = []
+        for value in values:
+            renamed.append(-1 if value is None
+                           else setdefault(value, len(rename)))
+        rendered[index] = (1, valid_mask, dirty_mask,
+                           1 if incoherent else 0, tuple(renamed))
+    slot = dict(zip(order, range(len(order))))
     parts: List[object] = []
-    for pos in range(n_lines):
-        fine_bit, dir_raw, l3_raw = lines_part[lineperm[pos]]
-        parts.append(fine_bit)
+    append = parts.append
+    for pos, src in enumerate(lineperm):
+        append(lines[2 * src])
+        dir_raw = lines[2 * src + 1]
         if dir_raw is None:
-            parts.append((0,))
+            append((0,))
         else:
             state, sharers, broadcast, rank = dir_raw
-            parts.append((1, state, tuple(sorted(slot[c] for c in sharers)),
-                          broadcast, rank))
-        parts.append(_render_entry(l3_raw, rename))
+            ids = []  # the sharer mask's cluster ids, relabeled
+            while sharers:
+                low = sharers & -sharers
+                ids.append(slot[low.bit_length() - 1])
+                sharers ^= low
+            ids.sort()
+            append((1, state, tuple(ids), 1 if broadcast else 0, rank))
+        append(rendered[pos])
+    start = n_lines
     for cid in order:
-        entries, l2_rank, l1_rank = cluster_part[cid]
-        for pos in range(n_lines):
-            e2_raw, e1_raw = entries[lineperm[pos]]
-            parts.append(_render_entry(e2_raw, rename))
-            parts.append(_render_entry(e1_raw, rename))
-        parts.append(tuple(posof[s] for s in l2_rank))
-        parts.append(tuple(posof[s] for s in l1_rank))
-    for pos in range(n_lines):
-        parts.append(tuple([rename.setdefault(v, len(rename))
-                            for v in mem_part[lineperm[pos]]]))
-    parts.append(tuple(sorted((slot[c], posof[s], w) for c, s, w in stale)))
+        stop = start + 2 * n_lines
+        parts.extend(rendered[start:stop])
+        start = stop
+        append(tuple(map(posof.__getitem__, ranks[2 * cid])))
+        append(tuple(map(posof.__getitem__, ranks[2 * cid + 1])))
+    for src in lineperm:
+        renamed = []
+        for value in mem[src]:
+            renamed.append(setdefault(value, len(rename)))
+        append(tuple(renamed))
+    if stale:
+        append(tuple(sorted([(slot[c], posof[s], w) for c, s, w in stale])))
+    else:
+        append(())
     return tuple(parts)
 
 
-def _entry_raw(entry, words: Tuple[int, ...],
-               rename: Dict[int, int]) -> Optional[tuple]:
-    if entry is None:
-        return None
-    data = entry.data
-    valid_mask = entry.valid_mask
-    if data is None:
-        values = (None,) * len(words)
-    else:
-        values = tuple([
-            rename.setdefault(data[w], len(rename))
-            if valid_mask & (1 << w) else None
-            for w in words])
-    return (valid_mask, entry.dirty_mask,
-            1 if entry.incoherent else 0, values)
+@lru_cache(maxsize=None)
+def _relabeling(n_lines: int, order: Tuple[int, ...],
+                lineperm: Tuple[int, ...]) -> Tuple[tuple, tuple]:
+    """``(posof, walk)`` of one cluster order and line permutation.
 
-
-def _render_entry(raw: Optional[tuple], rename: Dict[int, int]) -> tuple:
-    if raw is None:
-        return (0,)
-    valid_mask, dirty_mask, incoherent, values = raw
-    return (1, valid_mask, dirty_mask, incoherent,
-            tuple([-1 if v is None else rename.setdefault(v, len(rename))
-                   for v in values]))
+    ``posof`` maps a source slot to its rendered position. ``walk``
+    lists the raw entry positions in rendered order: every line's L3
+    entry, then per cluster and line its L2 and L1D entries, so that
+    rendering them in one loop renames values in exactly the order they
+    are emitted.
+    """
+    posof = [0] * n_lines
+    for pos, src in enumerate(lineperm):
+        posof[src] = pos
+    walk = list(lineperm)
+    for cid in order:
+        base = n_lines + 2 * n_lines * cid
+        for src in lineperm:
+            walk.append(base + 2 * src)
+            walk.append(base + 2 * src + 1)
+    return tuple(posof), tuple(walk)
 
 
 def _dir_rank(bank_dir, dentry) -> int:
     """Eviction-order rank of ``dentry`` within its bank (oldest = 0)."""
-    return sum(1 for e in bank_dir.entries() if e.lru < dentry.lru)
+    return sum(map(dentry.lru.__gt__, map(_LRU, bank_dir.entries())))

@@ -18,9 +18,14 @@ or L3 controller) can issue the protocol actions the victim requires.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from itertools import chain
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.mem.address import FULL_WORD_MASK, WORDS_PER_LINE
+
+#: Sort key of an entry by LRU age.
+_LRU = attrgetter("lru")
 
 
 class CacheLine:
@@ -110,6 +115,16 @@ class Cache:
     def peek(self, line: int) -> Optional[CacheLine]:
         """Lookup without touching LRU state or hit/miss counters."""
         return self.sets[line % self.n_sets].get(line)
+
+    def set_of(self, line: int) -> Dict[int, CacheLine]:
+        """The live ``line -> entry`` dict of ``line``'s set.
+
+        Each set's dict lives as long as the cache (restores clear it
+        in place), so a caller that reads one line over and over may
+        hold it and call ``.get(line)``: :meth:`peek` without the
+        method call.
+        """
+        return self.sets[line % self.n_sets]
 
     def discard(self, line: int) -> None:
         """Remove ``line`` if present, without returning it.
@@ -241,27 +256,35 @@ class Cache:
         absolute ``_tick`` values are not preserved, only the ranking,
         which is all the LRU policy observes.
         """
-        entries = sorted(self.lines(), key=lambda e: e.lru)
+        entries = sorted(self.lines(), key=_LRU)
         return [(e.line, e.valid_mask, e.dirty_mask, e.incoherent,
                  None if e.data is None else list(e.data))
                 for e in entries]
 
     def restore(self, snap: List[tuple]) -> None:
-        """Reset contents to a :meth:`snapshot` (statistics untouched)."""
-        if not snap and not self._occupied:  # empty -> empty fast path
-            self._tick = 0
-            return
-        for index in self._occupied:
-            self.sets[index].clear()
-        self._occupied.clear()
-        self._tick = 0
+        """Reset contents to a :meth:`snapshot` (statistics untouched).
+
+        Costs what the cache and the snapshot hold: only occupied sets
+        are cleared, and an empty cache restored to an empty snapshot
+        does nothing else.
+        """
+        sets = self.sets
+        occupied = self._occupied
+        if occupied:
+            for index in occupied:
+                sets[index].clear()
+            occupied.clear()
+        n_sets = self.n_sets
+        tick = 0
         for line, valid_mask, dirty_mask, incoherent, data in snap:
-            self._tick += 1
+            tick += 1
             entry = CacheLine(line, valid_mask, dirty_mask, incoherent,
                               None if data is None else list(data))
-            entry.lru = self._tick
-            self.sets[line % self.n_sets][line] = entry
-            self._occupied[line % self.n_sets] = None
+            entry.lru = tick
+            index = line % n_sets
+            sets[index][line] = entry
+            occupied[index] = None
+        self._tick = tick
 
     # -- introspection ---------------------------------------------------------
     def __contains__(self, line: int) -> bool:
@@ -275,9 +298,24 @@ class Cache:
         return sum(len(self.sets[index]) for index in self._occupied)
 
     def lines(self) -> Iterator[CacheLine]:
-        for index in tuple(self._occupied):
-            yield from self.sets[index].values()
+        """Every resident entry, set by set (no Python frame per set)."""
+        return chain.from_iterable(
+            map(dict.values, map(self.sets.__getitem__, tuple(self._occupied))))
 
     @property
     def capacity_lines(self) -> int:
         return self.n_sets * self.assoc
+
+
+#: A cache's index of non-empty sets, read without a Python-level call.
+_OCCUPIED = attrgetter("_occupied")
+
+
+def occupied(caches: Iterable[Cache]) -> Iterator[Cache]:
+    """The caches among ``caches`` that hold any line.
+
+    Same as ``(c for c in caches if c)`` but with no
+    :meth:`Cache.__bool__` call per cache: the model checker filters a
+    cluster's sixteen mostly empty per-core caches on every restore.
+    """
+    return filter(_OCCUPIED, caches)

@@ -49,10 +49,6 @@ class DramModel:
                               dur=finish - now, detail=f"lines={lines}"))
         return finish
 
-    def reset_contention(self) -> None:
-        """Drop all reserved channel capacity (access counts untouched)."""
-        self.channels.reset()
-
     @property
     def total_accesses(self) -> int:
         return sum(self.accesses)

@@ -34,7 +34,7 @@ from repro.core.cohesion import MemorySystem
 from repro.errors import ProtocolError
 from repro.mem.address import (FULL_WORD_MASK, LINE_SHIFT, WORD_SHIFT,
                                WORDS_PER_LINE)
-from repro.mem.cache import Cache, CacheLine
+from repro.mem.cache import Cache, CacheLine, occupied
 from repro.obs.bus import (EV_ATOMIC, EV_FLUSH, EV_IFETCH, EV_INV, EV_LOAD,
                            EV_PROBE_CLEAN, EV_PROBE_DOWN, EV_PROBE_INV,
                            EV_STORE, ObsEvent)
@@ -52,7 +52,7 @@ class Cluster:
     __slots__ = ("id", "memsys", "counters", "l2", "l1d", "l1i", "port",
                  "bus_latency", "l2_latency", "port_occ", "swcc_all",
                  "uses_dir", "n_cores", "track_data", "_posted",
-                 "write_buffer_depth", "obs", "_l1_present",
+                 "write_buffer_depth", "obs", "_l1_present", "_l1s",
                  "_l1_compact_at", "__dict__")
 
 
@@ -97,6 +97,8 @@ class Cluster:
         # amortized O(1) per fill and the set can never grow without
         # bound on long-running full-machine cells).
         self._l1_present: set = set()
+        #: Every per-core cache, for whole-L1 walks.
+        self._l1s = (*self.l1d, *self.l1i)
         capacity = sum(c.n_sets * c.assoc for c in self.l1d)
         capacity += sum(c.n_sets * c.assoc for c in self.l1i)
         self._l1_compact_at = 2 * capacity
@@ -141,7 +143,7 @@ class Cluster:
         """
         present = self._l1_present
         present.clear()
-        for cache in (*self.l1d, *self.l1i):
+        for cache in self._l1s:
             present.update(entry.line for entry in cache.lines())
 
     def _fill_l1(self, l1: Cache, entry: CacheLine) -> None:
@@ -444,21 +446,28 @@ class Cluster:
         """Reset caches to a :meth:`snapshot`; drop in-flight posted ops.
 
         ``_l1_present`` is a superset of the resident L1 lines, so when
-        it is empty no per-core cache is walked; otherwise only the
-        occupied ones are cleared before the listed ones are refilled.
+        it is empty no per-core cache is looked at; otherwise the
+        occupied ones are picked out at C speed (no method call per
+        cache) and cleared before the listed ones are refilled. The
+        port's reset returns at once unless it holds a reservation, so
+        a restore costs what the snapshot and the filled L1s hold.
         """
         self.l2.restore(snap["l2"])
         present = self._l1_present
         if present:
             present.clear()
-            for cache in (*self.l1d, *self.l1i):
-                if cache:
-                    cache.restore(())
-        for caches, listed in ((self.l1d, snap["l1d"]),
-                               (self.l1i, snap["l1i"])):
-            for index, entries in listed:
-                caches[index].restore(entries)
-                present.update(entry[0] for entry in entries)
+            for cache in occupied(self._l1s):
+                cache.restore(())
+        l1d = self.l1d
+        for index, entries in snap["l1d"]:
+            l1d[index].restore(entries)
+            for entry in entries:
+                present.add(entry[0])
+        l1i = self.l1i
+        for index, entries in snap["l1i"]:
+            l1i[index].restore(entries)
+            for entry in entries:
+                present.add(entry[0])
         self._posted.clear()
         self.port.reset()
 

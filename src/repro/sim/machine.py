@@ -38,6 +38,9 @@ class Machine:
             for cid in range(config.n_clusters)]
         self.memsys.attach_clusters(self.clusters)
         self.core_clocks: List[float] = [0.0] * config.n_cores
+        #: The model checker's :class:`~repro.mc.state.ExtractPlan` for
+        #: this machine, built on its first state extraction.
+        self.extract_plan = None
         self.runtime = Runtime(self)
         self.api = self.runtime.api
 
@@ -66,12 +69,15 @@ class Machine:
         }
 
     def restore(self, snap: dict) -> None:
-        """Reset protocol state to a :meth:`snapshot` and rewind clocks."""
+        """Reset protocol state to a :meth:`snapshot` and rewind clocks.
+
+        The clock list keeps its identity: it is rewound in place.
+        """
         self.memsys.restore(snap["memsys"])
         for cluster, cluster_snap in zip(self.clusters, snap["clusters"]):
             cluster.restore(cluster_snap)
-        for core in range(len(self.core_clocks)):
-            self.core_clocks[core] = 0.0
+        clocks = self.core_clocks
+        clocks[:] = [0.0] * len(clocks)
 
     def run(self, program, ops_per_slice: int = 8) -> RunStats:
         """Execute a BSP program to completion and return its stats."""

@@ -154,7 +154,13 @@ class Resource:
         Tools that repeatedly rewind the simulator to time zero (the
         model checker) must drop the bucket backlog, or every replayed
         access would queue behind reservations from abandoned branches.
+        A resource with no reservation returns at once: every positive
+        :meth:`acquire` fills ``_used``, and the skip table and the
+        smallest occupancy only change inside such a call, so an empty
+        ``_used`` means all three already hold their reset values.
         """
+        if not self._used:
+            return
         self._used.clear()
         self._full_next.clear()
         self._min_occ = float("inf")
@@ -176,7 +182,3 @@ class ResourceGroup:
 
     def acquire(self, index: int, now: float, occupancy: float) -> float:
         return self.members[index].acquire(now, occupancy)
-
-    def reset(self) -> None:
-        for member in self.members:
-            member.reset()

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -45,6 +47,26 @@ class TestExploreCommand:
                      "--summary", str(summary)]) == 0
         row = summary.read_text()
         assert "`smoke`" in row and "exhaustive" in row and "clean" in row
+        # | preset | mutation | states | transitions | seconds | coverage
+        # | result |: the seconds cell is the exploration's wall time.
+        cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
+        assert len(cells) == 7
+        assert cells[2].isdigit() and cells[3].isdigit()
+        assert float(cells[4]) >= 0.0
+        assert cells[4] == f"{float(cells[4]):.2f}"
+
+    def test_jobs_help_names_the_real_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["mc", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "0 = one per CPU; default: $REPRO_JOBS or 1" in text
+        assert "all cores" not in text
+
+    def test_default_jobs_is_serial(self, monkeypatch):
+        from repro.mc import PRESETS, explore
+
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert explore(PRESETS["smoke"]).jobs == 1
 
 
 class TestReductionFlags:
