@@ -142,8 +142,10 @@ def build_program(name: str, workload, machine
     machine's real allocation API (reproducing addresses *and* protocol
     side effects -- ``coh_malloc`` converts regions under Cohesion) and
     the frozen program is returned for direct execution. On a miss the
-    workload builds normally and the frozen form is stored for next
-    time.
+    workload builds normally, and the frozen form is stored for next
+    time and returned, so the executor need not freeze it again. Only a
+    program that cannot be frozen (``after`` hooks) comes back as a
+    plain :class:`Program`.
 
     Raises :class:`~repro.errors.StaleArtifactError` if replay diverges
     from the recorded addresses; the machine may then be part-allocated,
@@ -174,4 +176,4 @@ def build_program(name: str, workload, machine
             frozen.initial_memory = {word << WORD_SHIFT: value
                                      for word, value in words.items()}
     store.save(key, frozen)
-    return program
+    return frozen

@@ -17,23 +17,31 @@ to update and no domains to move between.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List
 
+from repro.config import MachineConfig
 from repro.core.heap import make_coherent_heap, make_incoherent_heap
 from repro.errors import AllocationError
 from repro.mem.address import align_up
 from repro.types import Domain
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.machine import Machine
+    from repro.core.cohesion import MemorySystem
 
 
 class CohesionAPI:
-    """Table 2's software interface, bound to one machine."""
+    """Table 2's software interface, bound to one machine.
 
-    def __init__(self, machine: "Machine") -> None:
-        self.machine = machine
-        layout = machine.layout
+    It holds the machine's configuration, memory system and core-clock
+    list (which the machine rewinds in place), not the machine itself.
+    """
+
+    def __init__(self, config: MachineConfig, memsys: "MemorySystem",
+                 core_clocks: List[float]) -> None:
+        self.config = config
+        self.memsys = memsys
+        self.core_clocks = core_clocks
+        layout = memsys.layout
         self.coherent_heap = make_coherent_heap(
             layout.coherent_heap_base, layout.coherent_heap_size)
         self.incoherent_heap = make_incoherent_heap(
@@ -43,18 +51,18 @@ class CohesionAPI:
     # -- timing plumbing -----------------------------------------------------
     @property
     def _cluster_of_issuer(self) -> int:
-        return self.issuing_core // self.machine.config.cores_per_cluster
+        return self.issuing_core // self.config.cores_per_cluster
 
     def _now(self) -> float:
-        return self.machine.core_clocks[self.issuing_core]
+        return self.core_clocks[self.issuing_core]
 
     def _advance(self, finish: float) -> None:
-        clocks = self.machine.core_clocks
+        clocks = self.core_clocks
         if finish > clocks[self.issuing_core]:
             clocks[self.issuing_core] = finish
 
     def _convert(self, addr: int, size: int, domain: Domain) -> None:
-        memsys = self.machine.memsys
+        memsys = self.memsys
         if not memsys.policy.hybrid:
             return
         finish = memsys.transitions.convert_region(

@@ -29,6 +29,7 @@ transitions in :mod:`repro.core.transitions`.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig, Policy
@@ -131,10 +132,16 @@ class MemorySystem:
 
     # -- wiring ----------------------------------------------------------------
     def attach_clusters(self, clusters: Sequence) -> None:
-        """Connect the cluster controllers (called by the machine builder)."""
+        """Connect the cluster controllers (called by the machine builder).
+
+        The caller owns the clusters; the memory system keeps weak
+        proxies to them for its probes. Each cluster holds this memory
+        system plainly (every L2 miss goes through it), so a strong
+        edge back would close a reference cycle.
+        """
         if len(clusters) != self.n_clusters:
             raise ProtocolError("cluster count does not match configuration")
-        self.clusters = clusters
+        self.clusters = tuple(map(weakref.proxy, clusters))
 
     # -- snapshot / restore (model-checker hooks) ---------------------------------
     def snapshot(self) -> dict:

@@ -18,8 +18,8 @@ for the table word each lookup or atomic update touches, using the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+from dataclasses import dataclass, field
+from typing import Iterator, List, Optional
 
 from repro.errors import RegionError
 from repro.mem.address import LINE_BYTES, line_base, lines_in_range
@@ -34,16 +34,17 @@ class CoarseRegion:
     size: int
     valid: bool = True
     name: str = ""
-    #: Owning table, set by :meth:`CoarseRegionTable.add`; flipping
-    #: ``valid`` must drop the table's per-line lookup memo.
-    _table: object = None
+    #: The owning table's per-line lookup memo, set by
+    #: :meth:`CoarseRegionTable.add`: flipping ``valid`` must drop it.
+    #: Only the memo is held, not the table, so the two form no cycle.
+    _memo: Optional[dict] = field(default=None, repr=False, compare=False)
 
     def __setattr__(self, key, value):
         object.__setattr__(self, key, value)
         if key == "valid":
-            table = getattr(self, "_table", None)
-            if table is not None:
-                table._line_memo.clear()
+            memo = getattr(self, "_memo", None)
+            if memo is not None:
+                memo.clear()
 
     @property
     def end(self) -> int:
@@ -65,7 +66,8 @@ class CoarseRegionTable:
         self._regions: List[CoarseRegion] = []
         # Per-line lookup memo. The table is written a handful of times
         # at boot and read on every L2 miss, so the linear region scan
-        # is worth caching; add()/remove() invalidate wholesale.
+        # is worth caching; add()/remove() invalidate wholesale. Regions
+        # hold this dict, so it is cleared in place, never replaced.
         self._line_memo: dict = {}
 
     def add(self, start: int, size: int, name: str = "") -> CoarseRegion:
@@ -79,7 +81,7 @@ class CoarseRegionTable:
         for other in self._regions:
             if other.valid and start < other.end and other.start < region.end:
                 raise RegionError(f"region {name!r} overlaps {other.name!r}")
-        region._table = self
+        region._memo = self._line_memo
         self._regions.append(region)
         self._line_memo.clear()
         return region

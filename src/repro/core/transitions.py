@@ -45,6 +45,7 @@ other access to the line at its home bank.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.coherence.directory import DIR_M, DIR_S
@@ -64,7 +65,11 @@ class TransitionEngine:
     """Directory-side orchestration of SWcc <=> HWcc transitions."""
 
     def __init__(self, memsys: "MemorySystem") -> None:
-        self.ms = memsys
+        # The memory system owns this engine and calls into it, and the
+        # engine drives the memory system; the back-edge is weak so the
+        # pair forms no reference cycle. Transitions are rare next to
+        # ops, so the proxy's extra indirection stays off the hot path.
+        self.ms = weakref.proxy(memsys)
         self.to_swcc_count = 0
         self.to_hwcc_count = 0
 

@@ -13,14 +13,15 @@ the BSP executor and a bump allocator for immutable static data.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List
 
+from repro.config import MachineConfig
 from repro.core.api import CohesionAPI
 from repro.errors import AllocationError
 from repro.mem.address import align_up
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.machine import Machine
+    from repro.core.cohesion import MemorySystem
 
 #: Task descriptors live in a fixed coherent-heap array this many entries
 #: long; larger phases wrap around it (descriptors are read-only, so reuse
@@ -29,14 +30,18 @@ DESC_CAPACITY = 16 * 1024
 
 
 class Runtime:
-    """Per-application runtime state for one machine."""
+    """Per-application runtime state for one machine.
 
-    def __init__(self, machine: "Machine") -> None:
-        self.machine = machine
-        self.layout = machine.layout
-        self.api = CohesionAPI(machine)
+    Built from the parts of the machine it uses, not the machine, so the
+    machine stays free of reference cycles (see DESIGN.md).
+    """
+
+    def __init__(self, config: MachineConfig, memsys: "MemorySystem",
+                 core_clocks: List[float]) -> None:
+        self.layout = memsys.layout
+        self.api = CohesionAPI(config, memsys, core_clocks)
         self._static_ptr = self.layout.globals_base
-        self._boot_regions()
+        self._boot_regions(memsys)
         # Shared cells for the task queue and barrier; each on its own
         # line so atomic traffic to them does not false-share.
         self.queue_addr = self.api.malloc(32)
@@ -44,17 +49,17 @@ class Runtime:
         self.desc_base = self.api.malloc(8 * DESC_CAPACITY)
         self.desc_capacity = DESC_CAPACITY
 
-    def _boot_regions(self) -> None:
+    def _boot_regions(self, memsys: "MemorySystem") -> None:
         """Install the three standing coarse-grain SWcc regions."""
         layout = self.layout
-        coarse = self.machine.memsys.coarse
+        coarse = memsys.coarse
         coarse.add(layout.code_base, layout.code_size, name="code")
         coarse.add(layout.globals_base, layout.globals_size, name="globals")
         coarse.add(layout.stack_base, layout.stacks_size, name="stacks")
         # While zeroing the fine-grain table the runtime initialises the
         # slice covering the incoherent heap to ones: lines allocated
         # there start in the SWcc domain (Sections 3.5-3.6).
-        self.machine.memsys.fine.add_default_swcc_range(
+        memsys.fine.add_default_swcc_range(
             layout.incoherent_heap_base, layout.incoherent_heap_size)
 
     # -- immutable static data --------------------------------------------

@@ -49,11 +49,12 @@ class Cluster:
     # harness monkey-patches protocol methods on live cluster instances.
     # Observation tools no longer wrap methods -- they subscribe to the
     # machine's event bus (``self.obs``, see repro.obs.bus).
+    # "__weakref__" lets the memory system hold its probe targets weakly.
     __slots__ = ("id", "memsys", "counters", "l2", "l1d", "l1i", "port",
                  "bus_latency", "l2_latency", "port_occ", "swcc_all",
                  "uses_dir", "n_cores", "track_data", "_posted",
                  "write_buffer_depth", "obs", "_l1_present", "_l1s",
-                 "_l1_compact_at", "__dict__")
+                 "_l1d_bits", "_l1_compact_at", "__dict__", "__weakref__")
 
 
     def __init__(self, cluster_id: int, config: MachineConfig, policy: Policy,
@@ -86,19 +87,22 @@ class Cluster:
         # unboundedly ahead of the network.
         self.write_buffer_depth = config.write_buffer_depth
         self._posted: deque = deque()
-        # Conservative superset of lines resident in *any* of this
-        # cluster's L1s. Fills add; the full drop-scan removes. L1
-        # victims evict silently, so stale members linger -- that only
-        # costs a redundant (no-op) scan, never a skipped one, so
-        # counters and timing are unaffected. Staleness is *bounded*:
-        # once the superset outgrows twice the clusters' total L1 line
-        # capacity, :meth:`_l1_compact` rebuilds it from the tag arrays
+        # Conservative record of which L1s may hold each line: line ->
+        # bitmask over ``_l1s`` (bit i for core i's L1D, bit
+        # ``n_cores + i`` for its L1I). Fills set a bit; drops discard
+        # the line in the named L1s only and remove it. L1 victims evict
+        # silently, so stale bits linger -- that only costs a redundant
+        # (no-op) discard, never a skipped one, so counters and timing
+        # are unaffected. Staleness is *bounded*: once the record
+        # outgrows twice the cluster's total L1 line capacity,
+        # :meth:`_l1_compact` rebuilds it from the tag arrays
         # (O(capacity), and at least ``capacity`` fills apart -- so
-        # amortized O(1) per fill and the set can never grow without
+        # amortized O(1) per fill and the record can never grow without
         # bound on long-running full-machine cells).
-        self._l1_present: set = set()
-        #: Every per-core cache, for whole-L1 walks.
+        self._l1_present: dict = {}
+        #: Every per-core cache, for whole-L1 walks and holder bits.
         self._l1s = (*self.l1d, *self.l1i)
+        self._l1d_bits = (1 << n) - 1
         capacity = sum(c.n_sets * c.assoc for c in self.l1d)
         capacity += sum(c.n_sets * c.assoc for c in self.l1i)
         self._l1_compact_at = 2 * capacity
@@ -122,43 +126,45 @@ class Cluster:
         self._posted.append(completion)
 
     def _drop_l1(self, line: int) -> None:
-        present = self._l1_present
-        if line not in present:  # provably in no L1: the scan would no-op
-            return
-        for cache in self.l1d:
-            cache.discard(line)
-        for cache in self.l1i:
-            cache.discard(line)
-        present.discard(line)
+        """Remove ``line`` from every L1 that may hold it."""
+        holders = self._l1_present.pop(line, 0)
+        l1s = self._l1s
+        while holders:
+            low = holders & -holders
+            l1s[low.bit_length() - 1].discard(line)
+            holders ^= low
 
     def _l1_compact(self) -> None:
         """Shrink ``_l1_present`` back to ground truth.
 
-        Rebuilds the superset from the L1 tag arrays, dropping every
-        member whose line silent L1 evictions have already displaced
-        from all of the cluster's L1s. Pure metadata: a dropped member
-        only suppresses sibling-invalidation scans that would have
-        no-opped anyway, so counters, timing and protocol state are
-        untouched.
+        Rebuilds the record from the L1 tag arrays, dropping every bit
+        (and line) that silent L1 evictions have already displaced.
+        Pure metadata: a dropped bit only suppresses discards that
+        would have no-opped anyway, so counters, timing and protocol
+        state are untouched.
         """
         present = self._l1_present
         present.clear()
-        for cache in self._l1s:
-            present.update(entry.line for entry in cache.lines())
+        get = present.get
+        for index, cache in enumerate(self._l1s):
+            bit = 1 << index
+            for entry in cache.lines():
+                present[entry.line] = get(entry.line, 0) | bit
 
-    def _fill_l1(self, l1: Cache, entry: CacheLine) -> None:
-        """Install an L2 line's current contents into a core's L1.
+    def _fill_l1(self, core: int, entry: CacheLine) -> None:
+        """Install an L2 line's current contents into a core's L1D.
 
         Only the L2 entry's *valid* words are validated in the L1: a
         partially valid SWcc line (write-allocated words only) must not
         produce L1 hits on words that were never fetched. L1 victims
         are silent, so the recycling :meth:`Cache.fill` is used.
         """
+        line = entry.line
         present = self._l1_present
         if len(present) >= self._l1_compact_at:
             self._l1_compact()
-        present.add(entry.line)
-        copy = l1.fill(entry.line, entry.valid_mask)
+        present[line] = present.get(line, 0) | 1 << core
+        copy = self.l1d[core].fill(line, entry.valid_mask)
         if copy.data is not None and entry.data is not None:
             copy.data[:] = entry.data
 
@@ -227,7 +233,7 @@ class Cluster:
         t = self._l2_start(now)
         entry = self.l2.lookup(line)
         if entry is not None and entry.valid_mask & bit:
-            self._fill_l1(l1, entry)
+            self._fill_l1(core, entry)
             value = entry.data[word] if entry.data is not None else 0
             obs = self.obs
             if obs.active:
@@ -238,7 +244,7 @@ class Cluster:
             raise ProtocolError(f"partially valid coherent line {line:#x}")
         reply = self.memsys.read_line(self.id, line, t)
         entry = self._install(line, reply, keep=entry)
-        self._fill_l1(l1, entry)
+        self._fill_l1(core, entry)
         value = entry.data[word] if entry.data is not None else 0
         obs = self.obs
         if obs.active:
@@ -259,13 +265,15 @@ class Cluster:
         if e1 is not None and e1.data is not None:
             e1.data[word] = value  # write-through keeps the L1 copy fresh
         # Sibling cores' L1 copies go stale: the cluster bus invalidates
-        # them (write-through L1s snoop the shared L2's write lane). The
-        # scan is skipped when the cluster-wide L1 superset proves no
-        # copy exists.
-        if line in self._l1_present:
-            for sibling in range(self.n_cores):
-                if sibling != core:
-                    l1d[sibling].discard(line)
+        # them (write-through L1s snoop the shared L2's write lane). Only
+        # the siblings whose L1D may hold the line are touched; their
+        # bits stay behind as harmless stale ones.
+        siblings = self._l1_present.get(line, 0) & self._l1d_bits
+        siblings &= ~(1 << core)
+        while siblings:
+            low = siblings & -siblings
+            l1d[low.bit_length() - 1].discard(line)
+            siblings ^= low
         t = self._l2_start(now)
         entry = self.l2.lookup(line)
         if entry is not None:
@@ -319,7 +327,7 @@ class Cluster:
         present = self._l1_present
         if len(present) >= self._l1_compact_at:
             self._l1_compact()
-        present.add(line)
+        present[line] = present.get(line, 0) | 1 << (self.n_cores + core)
         l1.fill(line, FULL_WORD_MASK)
         obs = self.obs
         if obs.active:
@@ -445,10 +453,10 @@ class Cluster:
     def restore(self, snap: dict) -> None:
         """Reset caches to a :meth:`snapshot`; drop in-flight posted ops.
 
-        ``_l1_present`` is a superset of the resident L1 lines, so when
-        it is empty no per-core cache is looked at; otherwise the
-        occupied ones are picked out at C speed (no method call per
-        cache) and cleared before the listed ones are refilled. The
+        ``_l1_present`` records every resident L1 line, so when it is
+        empty no per-core cache is looked at; otherwise the occupied
+        ones are picked out at C speed (no method call per cache) and
+        cleared before the listed ones are refilled. The
         port's reset returns at once unless it holds a reservation, so
         a restore costs what the snapshot and the filled L1s hold.
         """
@@ -461,13 +469,15 @@ class Cluster:
         l1d = self.l1d
         for index, entries in snap["l1d"]:
             l1d[index].restore(entries)
+            bit = 1 << index
             for entry in entries:
-                present.add(entry[0])
+                present[entry[0]] = present.get(entry[0], 0) | bit
         l1i = self.l1i
         for index, entries in snap["l1i"]:
             l1i[index].restore(entries)
+            bit = 1 << (self.n_cores + index)
             for entry in entries:
-                present.add(entry[0])
+                present[entry[0]] = present.get(entry[0], 0) | bit
         self._posted.clear()
         self.port.reset()
 

@@ -13,17 +13,22 @@ from typing import Dict, List, Optional, Tuple
 from repro.config import MachineConfig, Policy
 from repro.core.cohesion import MemorySystem
 from repro.runtime.layout import AddressLayout
+from repro.runtime.system import Runtime
 from repro.sim.cluster import Cluster
 from repro.sim.stats import RunStats
 
 
 class Machine:
-    """One simulated accelerator chip and its application runtime."""
+    """One simulated accelerator chip and its application runtime.
+
+    Nothing the machine owns refers back to it: its components hold the
+    parts they use, and the memory system's and transition engine's
+    back-edges are weak, so dropping the last reference frees the whole
+    machine by reference counting (see DESIGN.md, "Ownership").
+    """
 
     def __init__(self, config: MachineConfig, policy: Policy,
                  layout: Optional[AddressLayout] = None) -> None:
-        from repro.runtime.system import Runtime  # machine <-> runtime wiring
-
         self.config = config
         self.policy = policy
         self.layout = layout or AddressLayout(n_cores=config.n_cores)
@@ -41,7 +46,7 @@ class Machine:
         #: The model checker's :class:`~repro.mc.state.ExtractPlan` for
         #: this machine, built on its first state extraction.
         self.extract_plan = None
-        self.runtime = Runtime(self)
+        self.runtime = Runtime(config, self.memsys, self.core_clocks)
         self.api = self.runtime.api
 
     # -- convenience ----------------------------------------------------------

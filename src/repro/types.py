@@ -83,6 +83,11 @@ class SegmentClass(enum.Enum):
     STACK = "stack"
     HEAP_GLOBAL = "heap_global"
 
+    # Members are singletons, so identity hashing is exact. It runs in C,
+    # where Enum's own ``hash(self._name_)`` is a Python call: directory
+    # occupancy keys its per-class counts by member on every alloc/free.
+    __hash__ = object.__hash__
+
 
 class DirState(enum.Enum):
     """MSI directory entry states (no E or O, per Section 3.2)."""

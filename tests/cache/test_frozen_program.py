@@ -86,6 +86,31 @@ class TestProgramStore:
         assert PROGRAM_STATS.hits == 1
         assert fresh.as_dict() == cold.as_dict() == warm.as_dict()
 
+    def test_cold_miss_returns_the_stored_frozen_program(self, cache_dir):
+        """A cold miss hands back the artifact it just stored, so the
+        executor does not freeze the program a second time; it runs
+        like a warm hit on a fresh machine."""
+        from repro.analysis.experiments import ExperimentConfig
+        from repro.cache import PROGRAM_STATS, build_program
+        from repro.sim.machine import Machine
+        from repro.workloads import get_workload
+
+        exp = ExperimentConfig(n_clusters=2, scale=0.12)
+
+        def build():
+            machine = Machine(exp.machine_config(), Policy.cohesion())
+            workload = get_workload("gjk", scale=exp.scale, seed=exp.seed)
+            return machine, build_program("gjk", workload, machine)
+
+        cold_machine, cold = build()
+        assert PROGRAM_STATS.misses == 1 and PROGRAM_STATS.stores == 1
+        assert isinstance(cold, FrozenProgram)
+        warm_machine, warm = build()
+        assert PROGRAM_STATS.hits == 1
+        assert isinstance(warm, FrozenProgram) and warm is not cold
+        assert (cold_machine.run(cold).as_dict()
+                == warm_machine.run(warm).as_dict())
+
     def test_cohesion_track_data_replay(self, cache_dir):
         """Cohesion builds have machine side effects (coh_malloc converts
         regions) and track_data needs the backing image; both must replay

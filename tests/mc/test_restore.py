@@ -152,11 +152,15 @@ def test_extract_plan_belongs_to_its_machine():
 
 def test_extract_plan_dies_with_its_machine():
     model = PRESETS["direvict"]
-    machine = build_machine(model)
-    assert machine.extract_plan is None  # built lazily, not with the machine
-    extract_state(machine, model, SpecState())
-    plan = weakref.ref(machine.extract_plan)
-    assert plan().model is model
-    del machine
-    gc.collect()
-    assert plan() is None
+    # With the collector paused, only reference counting can free them.
+    gc.disable()
+    try:
+        machine = build_machine(model)
+        assert machine.extract_plan is None  # built lazily, not with it
+        extract_state(machine, model, SpecState())
+        plan = weakref.ref(machine.extract_plan)
+        assert plan().model is model
+        del machine
+        assert plan() is None
+    finally:
+        gc.enable()

@@ -307,6 +307,25 @@ class TestProbes:
         assert cluster.l1d[0].peek(line) is None
         assert cluster.l1d[5].peek(line) is None
 
+    def test_probe_drops_only_the_l1s_holding_the_line(self, hwcc_machine):
+        cluster = hwcc_machine.clusters[0]
+        line = line_of(COHERENT_HEAP)
+        other = line_of(COHERENT_HEAP + 0x400)
+        t, _ = cluster.load(0, COHERENT_HEAP, 0.0)
+        t, _ = cluster.load(5, COHERENT_HEAP, t)
+        t = cluster.ifetch(2, COHERENT_HEAP, t)
+        t, _ = cluster.load(7, COHERENT_HEAP + 0x400, t)
+        n = cluster.n_cores
+        assert cluster._l1_present[line] == (1 << 0) | (1 << 5) | (1 << (n + 2))
+        cluster.probe_invalidate(line, t)
+        assert cluster.l1d[0].peek(line) is None
+        assert cluster.l1d[5].peek(line) is None
+        assert cluster.l1i[2].peek(line) is None
+        assert line not in cluster._l1_present
+        # Another core's copy of a different line survives the drop.
+        assert cluster.l1d[7].peek(other) is not None
+        assert cluster._l1_present[other] == 1 << 7
+
 
 class TestL1PresentCompaction:
     """``_l1_present`` staleness is bounded: silent L1 evictions leave
@@ -328,7 +347,7 @@ class TestL1PresentCompaction:
         for cache in list(cluster.l1d) + list(cluster.l1i):
             for bucket in cache.sets:
                 resident.update(bucket)
-        assert resident <= present
+        assert resident <= present.keys()
 
     def test_compaction_shrinks_the_set_after_evictions(self, hwcc_machine):
         cluster = hwcc_machine.clusters[0]
@@ -374,8 +393,11 @@ class TestSparseSnapshot:
         target.restore(snap)
 
         assert target.snapshot() == snap
-        assert target._l1_present == resident_l1_lines(target)
-        assert target._l1_present == {line_of(COHERENT_HEAP), line_of(CODE)}
+        assert target._l1_present.keys() == resident_l1_lines(target)
+        # Holder bits name core 3's L1D and core 5's L1I.
+        assert target._l1_present == {
+            line_of(COHERENT_HEAP): 1 << 3,
+            line_of(CODE): 1 << (target.n_cores + 5)}
         assert not target.l1d[0] and not target.l1i[1]
 
     def test_empty_snapshot_empties_every_l1(self):
@@ -388,5 +410,5 @@ class TestSparseSnapshot:
             t = cluster.ifetch(core, CODE + 32 * core, t)
         cluster.restore(empty)
         assert not any(cluster.l1d) and not any(cluster.l1i)
-        assert cluster._l1_present == set()
+        assert cluster._l1_present == {}
         assert cluster.snapshot() == empty

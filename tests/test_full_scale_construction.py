@@ -7,7 +7,9 @@ it is cheap and catches scale-dependent wiring bugs (bank striding over
 full-machine kernel also runs end to end.
 """
 
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -67,10 +69,24 @@ class TestFullScale:
                     reason="full-scale smoke only under REPRO_FULL=1")
 class TestFullScaleSmoke:
     def test_full_machine_gjk(self):
-        """One 128-cluster (1024-core) kernel end to end."""
+        """One 128-cluster (1024-core) kernel end to end.
+
+        The finished machine must then be freed by reference counting
+        alone: with the collector paused, it dies on ``del``. At this
+        size a machine left for the collector holds the most memory.
+        """
         cfg = MachineConfig(track_data=False).scaled(128)
-        machine = Machine(cfg, Policy.cohesion(entries_per_bank=1024,
-                                               assoc=64))
-        program = get_workload("gjk", scale=1.0, seed=1234).build(machine)
-        stats = machine.run(program)
-        assert stats.as_dict()["cycles"] > 0
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            machine = Machine(cfg, Policy.cohesion(entries_per_bank=1024,
+                                                   assoc=64))
+            program = get_workload("gjk", scale=1.0, seed=1234).build(machine)
+            stats = machine.run(program)
+            assert stats.as_dict()["cycles"] > 0
+            ref = weakref.ref(machine)
+            del machine
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
