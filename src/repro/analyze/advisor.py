@@ -40,11 +40,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.analyze.domain import DomainModel
 from repro.analyze.ir import AnalysisIR
 from repro.analyze.rules import (AnalyzeContext, Transition, check_coh001,
                                  check_coh002, check_coh003, check_coh006,
                                  check_coh007, check_coh010)
-from repro.lint.model import DomainModel
 from repro.mem.address import line_of
 from repro.types import PolicyKind
 

@@ -18,9 +18,9 @@ The IR is built from the frozen form *only* -- the flat op arrays, the
 per-task bounds, and the per-task ``input_lines`` -- so an artifact can
 be analysed in a process that never imports the workload builders and
 never constructs a machine. The fused eager-flush WBs at the tail of
-each task slice are indexed exactly like inline WB ops, which is what
-makes the analyzer's flush facts bit-identical to the per-op linter's
-(:meth:`~repro.lint.model.ProgramIndex.of_program`).
+each task slice are indexed exactly like inline WB ops, so a task's
+flush facts are the same whether it wrote a WB inline or listed the
+line in ``flush_lines``.
 """
 
 from __future__ import annotations
@@ -67,16 +67,6 @@ class TaskSummary:
             low = mask & -mask
             yield base + low.bit_length() - 1
             mask ^= low
-
-
-def _phases_of_mask(mask: int) -> List[int]:
-    """The sorted phase indices encoded in a barrier-interval bitmask."""
-    phases = []
-    while mask:
-        low = mask & -mask
-        phases.append(low.bit_length() - 1)
-        mask ^= low
-    return phases
 
 
 class AnalysisIR:
@@ -142,13 +132,6 @@ class AnalysisIR:
         return ir
 
     # -- happens-before queries (bitmask form) ----------------------------
-    def written_after(self, line: int, phase: int) -> List[int]:
-        """Phases after ``phase`` that publish a new value of ``line``
-        (cached stores and uncached atomics both count)."""
-        mask = (self.store_mask.get(line, 0)
-                | self.atomic_mask.get(line, 0)) >> (phase + 1)
-        return [phase + 1 + p for p in _phases_of_mask(mask)]
-
     def read_after(self, line: int, phase: int) -> bool:
         """Does any task *cache-read* ``line`` in a phase after ``phase``?"""
         return self.load_mask.get(line, 0) >> (phase + 1) != 0
@@ -162,9 +145,8 @@ class AnalysisIR:
     def stale_window(self, line: int, cache_phase: int) -> bool:
         """Is a copy cached at ``cache_phase`` endangered -- i.e. does a
         later phase publish a new value that a still-later phase
-        cache-reads? Equivalent to COH002's reaching-definition scan but
-        O(1): a read after *any* write after ``cache_phase`` is a read
-        after the *first* such write."""
+        cache-reads? O(1): a read after *any* write after
+        ``cache_phase`` is a read after the *first* such write."""
         writes = (self.store_mask.get(line, 0)
                   | self.atomic_mask.get(line, 0)) >> (cache_phase + 1)
         if not writes:

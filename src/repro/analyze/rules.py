@@ -1,20 +1,18 @@
-"""The analyzer's rule set: COH001..COH006 re-derived, COH007..COH010 new.
-
-The first six rules re-derive the ``repro lint`` verdicts from the
-analyzer's own bitmask IR -- independently enough that agreement between
-the two engines is a real cross-check (the acceptance gate diffs them
-finding-for-finding), but sharing each rule's ``diagnostic()`` factory
-so that when both engines agree on a site they report byte-identically.
-Iteration order deliberately mirrors the linter's (tasks in global
-(phase, task) order, lines sorted, COH004's flush set before its input
-set, the same per-rule truncation), so the sorted reports match even
-through stable-sort ties and the ``max_diagnostics_per_rule`` cut.
-
-The four new rules only make sense at whole-program scale:
+"""The analyzer's rule set, COH001..COH010, over the frozen-artifact IR.
 
 ======  ======================  ========  ==============================
 id      name                    severity  finding
 ======  ======================  ========  ==============================
+COH001  missing-flush           error     SWcc store consumed later,
+                                          never flushed
+COH002  missing-invalidate      error     phase-variant SWcc line cached
+                                          without a barrier invalidate
+COH003  intra-phase-race        error     two tasks of one phase conflict
+                                          on a word, one a plain store
+COH004  domain-misuse           warning   WB/INV aimed at an HWcc line
+COH005  redundant-op            warning   duplicate WB/INV within a task
+COH006  atomic-swcc             warning   uncached atomic aimed at an
+                                          SWcc line under Cohesion
 COH007  stale-read-window       error     cached load falls in a
                                           cross-phase stale window left
                                           by an un-invalidated copy
@@ -36,25 +34,28 @@ is COH002-clean, so the two rules never disagree -- they attribute the
 same window to its two ends. COH008/COH009 are the static predictors of
 the dynamic waste counters (``clean_wb``/``wasted_wb``/``wasted_inv``)
 the crossval oracles measure. COH010 only fires when a *transition
-schedule* is supplied (the advisor's proposals, or an explicit plan):
-plain-program analysis never sees one, keeping kernel runs identical to
-``repro lint``.
+schedule* is supplied (the advisor's proposals, or an explicit plan);
+plain-program analysis never sees one.
+
+Every rule reports at most :data:`MAX_DIAGNOSTICS_PER_RULE` findings.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence, Set, Tuple
 
+from repro.analyze.domain import DomainModel
 from repro.analyze.ir import FULL_LINE_MASK, AnalysisIR
-from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.model import DomainModel
-from repro.lint.rules import (coh001_missing_flush, coh002_missing_invalidate,
-                              coh003_intra_phase_race, coh004_domain_misuse,
-                              coh005_redundant_op, coh006_atomic_swcc)
-from repro.mem.address import LINE_SHIFT, WORD_SHIFT, line_of
+from repro.analyze.report import Diagnostic, Severity
+from repro.mem.address import LINE_SHIFT, WORD_BYTES, WORD_SHIFT, line_of
 from repro.types import PolicyKind
+
+#: Findings one rule may report for one program; the rest are dropped.
+MAX_DIAGNOSTICS_PER_RULE = 200
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,6 @@ class AnalyzeContext:
 
     ir: AnalysisIR
     domain: DomainModel
-    max_diagnostics_per_rule: int = 200
     schedule: Sequence[Transition] = ()
 
 
@@ -90,55 +90,124 @@ class AnalyzeRule:
     check: object  # Callable[[AnalyzeContext], Iterator[Diagnostic]]
 
 
-# -- COH001..COH006: independent re-derivations ---------------------------
+def _capped(check):
+    """Stop ``check`` after :data:`MAX_DIAGNOSTICS_PER_RULE` findings."""
+    @functools.wraps(check)
+    def capped(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
+        return itertools.islice(check(ctx), MAX_DIAGNOSTICS_PER_RULE)
+    return capped
 
+
+# -- COH001: missing flushes ----------------------------------------------
+
+def coh001_diagnostic(phase: int, phase_name: str, task: int,
+                      line: int) -> Diagnostic:
+    """The COH001 finding for one (task, line) site."""
+    return Diagnostic(
+        rule="COH001", severity=Severity.ERROR,
+        phase=phase, phase_name=phase_name, task=task, line=line,
+        message=("task stores to SWcc line consumed in a later "
+                 "phase but never flushes it; the consumer can "
+                 "observe the pre-store value"),
+        hint=(f"add line {line:#x} to the task's flush_lines (the "
+              "eager task-end writeback of the Task-Centric "
+              "Memory Model)"))
+
+
+@_capped
 def check_coh001(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
+    """A task's stores to SWcc lines stay as per-word dirty data in its
+    cluster's L2 until a WB pushes them to the L3 (Section 2.1). A later
+    phase that consumes the line -- by a cached load *or* an uncached
+    atomic, both of which observe the L3's version -- can read the
+    pre-store value unless the storing task flushes it."""
     ir = ctx.ir
-    emitted = 0
     for s in ir.tasks:
         for line in sorted(s.stores):
             if not ctx.domain.is_swcc(line):
-                continue
+                continue  # hardware keeps HWcc stores coherent
             if line in s.flush_set:
                 continue
             if not ir.consumed_after(line, s.phase):
                 continue
-            emitted += 1
-            if emitted > ctx.max_diagnostics_per_rule:
-                return
-            yield coh001_missing_flush.diagnostic(
-                s.phase, ir.phase_name(s.phase), s.task, line)
+            yield coh001_diagnostic(s.phase, ir.phase_name(s.phase),
+                                    s.task, line)
 
 
+# -- COH002: missing invalidates ------------------------------------------
+
+def coh002_diagnostic(phase: int, phase_name: str, task: int, line: int,
+                      how: str) -> Diagnostic:
+    """The COH002 finding for one (task, line) site; ``how`` is
+    ``"loads"`` or ``"stores to"``."""
+    return Diagnostic(
+        rule="COH002", severity=Severity.ERROR,
+        phase=phase, phase_name=phase_name, task=task, line=line,
+        message=(f"task {how} phase-variant SWcc line without "
+                 "listing it in input_lines; the cached copy goes "
+                 "stale when a later phase rewrites the line and is "
+                 "then re-read"),
+        hint=(f"add line {line:#x} to the task's input_lines so the "
+              "barrier's lazy invalidation drops the copy"))
+
+
+@_capped
 def check_coh002(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
+    """A task that caches an SWcc line (a load, or a store's
+    write-allocate) must invalidate it at its barrier whenever a later
+    phase publishes a new value that a still-later phase cache-reads.
+    Tasks land on any core, so the invalidate must ride with the task
+    that created the copy; uncached atomics read at the L3 and are
+    immune."""
     ir = ctx.ir
-    emitted = 0
     for s in ir.tasks:
         for line in sorted(s.cached_lines):
             if not ctx.domain.is_swcc(line):
-                continue
+                continue  # the directory invalidates HWcc copies itself
             if line in s.input_set:
                 continue
             if not ir.stale_window(line, s.phase):
                 continue
-            emitted += 1
-            if emitted > ctx.max_diagnostics_per_rule:
-                return
             how = "loads" if line in s.loads else "stores to"
-            yield coh002_missing_invalidate.diagnostic(
-                s.phase, ir.phase_name(s.phase), s.task, line, how)
+            yield coh002_diagnostic(s.phase, ir.phase_name(s.phase),
+                                    s.task, line, how)
 
 
+# -- COH003: intra-phase races --------------------------------------------
+
+def coh003_diagnostic(phase: int, phase_name: str, a: int, b: int,
+                      word: int, line: int, kind: str) -> Diagnostic:
+    """The COH003 finding for one conflicting task pair on one word;
+    ``kind`` is ``"store-store"``/``"store-load"``/``"store-atomic"``."""
+    return Diagnostic(
+        rule="COH003", severity=Severity.ERROR,
+        phase=phase, phase_name=phase_name,
+        task=b, line=line,
+        message=(f"intra-phase race: tasks {a} and {b} both "
+                 f"touch word {word * WORD_BYTES:#x} with at "
+                 f"least one "
+                 f"non-atomic store ({kind}); no barrier orders "
+                 "them"),
+        hint=("split the conflicting accesses into separate "
+              "phases, or make the update an atomic"))
+
+
+@_capped
 def check_coh003(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
+    """Tasks of one phase are unordered, so two of them touching one
+    *word* with at least one plain store race. Word granularity is on
+    purpose: kernels legitimately share lines (halo rows, disjoint words
+    merged by the per-word dirty masks of Section 3.3). Atomic-atomic
+    pairs are ordered by the L3 and load-atomic is the reduction
+    pattern, so only store-load/store/atomic pairs are flagged."""
     ir = ctx.ir
     by_phase: Dict[int, list] = {}
     for s in ir.tasks:
         by_phase.setdefault(s.phase, []).append(s)
 
-    emitted = 0
     for p in sorted(by_phase):
         storers: Dict[int, Set[int]] = {}
-        others: Dict[int, Set[Tuple[int, str]]] = {}
+        others: Dict[int, Set[Tuple[int, str]]] = {}  # loads and atomics
         for s in by_phase[p]:
             t = s.task
             for line in s.stores:
@@ -149,7 +218,7 @@ def check_coh003(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
                     for word in s.words_of(table, line):
                         others.setdefault(word, set()).add((t, kind))
 
-        reported: Set[Tuple[int, int, int]] = set()
+        reported: Set[Tuple[int, int, int]] = set()  # (line, task, task)
         for word in sorted(storers):
             writers = storers[word]
             conflicts = []
@@ -166,16 +235,37 @@ def check_coh003(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
                 if key in reported:
                     continue
                 reported.add(key)
-                emitted += 1
-                if emitted > ctx.max_diagnostics_per_rule:
-                    return
-                yield coh003_intra_phase_race.diagnostic(
-                    p, ir.phase_name(p), a, b, word, line, kind)
+                yield coh003_diagnostic(p, ir.phase_name(p), a, b, word,
+                                        line, kind)
 
 
+# -- COH004: coherence instructions on hardware lines ---------------------
+
+def coh004_diagnostic(phase: int, phase_name: str, task: int, line: int,
+                      what: str, field_: str) -> Diagnostic:
+    """The COH004 finding for one (task, line) site; ``what``/``field_``
+    are ``("flush (WB)", "flush_lines")`` or ``("invalidate (INV)",
+    "input_lines")``."""
+    return Diagnostic(
+        rule="COH004", severity=Severity.WARNING,
+        phase=phase, phase_name=phase_name, task=task, line=line,
+        message=(f"software {what} targets an HWcc-domain "
+                 "line; the directory already keeps it "
+                 "coherent, so the instruction is statically "
+                 "useless work"),
+        hint=(f"drop line {line:#x} from the task's {field_}, "
+              "or move the data to the incoherent heap "
+              "(coh_malloc) if software management is "
+              "intended"))
+
+
+@_capped
 def check_coh004(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
+    """A WB or INV only does useful work on an SWcc line; on an HWcc
+    line the directory already tracks the copy, so the instruction is
+    the statically predictable slice of Figure 3's useless coherence
+    operations. On pure HWcc every such instruction is misuse."""
     ir = ctx.ir
-    emitted = 0
     for s in ir.tasks:
         for lines, what, field_ in ((s.flush_set, "flush (WB)",
                                      "flush_lines"),
@@ -184,17 +274,31 @@ def check_coh004(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
             for line in sorted(lines):
                 if ctx.domain.is_swcc(line):
                     continue
-                emitted += 1
-                if emitted > ctx.max_diagnostics_per_rule:
-                    return
-                yield coh004_domain_misuse.diagnostic(
-                    s.phase, ir.phase_name(s.phase), s.task, line, what,
-                    field_)
+                yield coh004_diagnostic(s.phase, ir.phase_name(s.phase),
+                                        s.task, line, what, field_)
 
 
+# -- COH005: duplicate coherence instructions -----------------------------
+
+def coh005_diagnostic(phase: int, phase_name: str, task: int, line: int,
+                      count: int, what: str, field_: str) -> Diagnostic:
+    """The COH005 finding for one duplicated (task, line) site;
+    ``what``/``field_`` are ``("flushes", "flush_lines")`` or
+    ``("invalidates", "input_lines")``."""
+    return Diagnostic(
+        rule="COH005", severity=Severity.WARNING,
+        phase=phase, phase_name=phase_name, task=task, line=line,
+        message=(f"task {what} line {count} times; every "
+                 "repeat after the first is a wasted "
+                 "coherence instruction"),
+        hint=f"deduplicate the task's {field_}")
+
+
+@_capped
 def check_coh005(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
+    """The second WB of a line a task already flushed finds it clean,
+    the second INV finds it gone: both are wasted instructions."""
     ir = ctx.ir
-    emitted = 0
     for s in ir.tasks:
         for issued, what, field_ in ((s.flushes, "flushes", "flush_lines"),
                                      (s.invalidates, "invalidates",
@@ -202,28 +306,44 @@ def check_coh005(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
             for line, count in sorted(Counter(issued).items()):
                 if count < 2:
                     continue
-                emitted += 1
-                if emitted > ctx.max_diagnostics_per_rule:
-                    return
-                yield coh005_redundant_op.diagnostic(
-                    s.phase, ir.phase_name(s.phase), s.task, line, count,
-                    what, field_)
+                yield coh005_diagnostic(s.phase, ir.phase_name(s.phase),
+                                        s.task, line, count, what, field_)
 
 
+# -- COH006: atomics on software-managed lines ----------------------------
+
+def coh006_diagnostic(phase: int, phase_name: str, task: int,
+                      line: int) -> Diagnostic:
+    """The COH006 finding for one (task, line) site."""
+    return Diagnostic(
+        rule="COH006", severity=Severity.WARNING,
+        phase=phase, phase_name=phase_name, task=task, line=line,
+        message=("uncached atomic targets an SWcc-domain line; "
+                 "the RMW at the L3 cannot see (or invalidate) "
+                 "write-allocated L2 copies, so it may read a "
+                 "stale value and its update can be lost to a "
+                 "later flush or dirty eviction"),
+        hint=(f"allocate line {line:#x}'s data in the coherent "
+              "heap (malloc) or globals, or transition the line "
+              "to HWcc before the atomic phase"))
+
+
+@_capped
 def check_coh006(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
+    """An SWcc line has no directory entry, so an atomic at the L3
+    cannot see write-allocated L2 copies and its update can be lost to
+    a later flush. Only Cohesion has an HWcc domain to move the data
+    to; the pure-SWcc baseline uses atomics on SWcc data by
+    construction."""
     if ctx.domain.kind is not PolicyKind.COHESION:
         return
     ir = ctx.ir
-    emitted = 0
     for s in ir.tasks:
         for line in sorted(s.atomics):
             if not ctx.domain.is_swcc(line):
                 continue
-            emitted += 1
-            if emitted > ctx.max_diagnostics_per_rule:
-                return
-            yield coh006_atomic_swcc.diagnostic(
-                s.phase, ir.phase_name(s.phase), s.task, line)
+            yield coh006_diagnostic(s.phase, ir.phase_name(s.phase),
+                                    s.task, line)
 
 
 # -- COH007: cross-phase stale-read windows -------------------------------
@@ -243,6 +363,7 @@ def coh007_diagnostic(phase: int, phase_name: str, task: int, line: int,
               f"{cache_phase} task(s) that cache it"))
 
 
+@_capped
 def check_coh007(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
     ir = ctx.ir
     # Phase bitmask, per line, of tasks that cache the line and never
@@ -254,7 +375,6 @@ def check_coh007(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
             if line not in s.input_set:
                 unreleased[line] = unreleased.get(line, 0) | bit
 
-    emitted = 0
     for s in ir.tasks:
         pr = s.phase
         if pr < 2:
@@ -278,9 +398,6 @@ def check_coh007(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
             if not window:
                 continue
             write_phase = (window & -window).bit_length() - 1
-            emitted += 1
-            if emitted > ctx.max_diagnostics_per_rule:
-                return
             yield coh007_diagnostic(pr, ir.phase_name(pr), s.task, line,
                                     first_cache, write_phase)
 
@@ -301,18 +418,15 @@ def coh008_diagnostic(phase: int, phase_name: str, task: int,
               "data"))
 
 
+@_capped
 def check_coh008(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
     ir = ctx.ir
-    emitted = 0
     for s in ir.tasks:
         for line in sorted(s.flush_set):
             if not ctx.domain.is_swcc(line):
                 continue  # COH004's territory: WB of a hardware line
             if line in s.stores:
                 continue
-            emitted += 1
-            if emitted > ctx.max_diagnostics_per_rule:
-                return
             yield coh008_diagnostic(s.phase, ir.phase_name(s.phase),
                                     s.task, line)
 
@@ -331,18 +445,15 @@ def coh009_diagnostic(phase: int, phase_name: str, task: int,
         hint=f"drop line {line:#x} from the task's input_lines")
 
 
+@_capped
 def check_coh009(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
     ir = ctx.ir
-    emitted = 0
     for s in ir.tasks:
         for line in sorted(s.input_set):
             if not ctx.domain.is_swcc(line):
                 continue  # COH004's territory: INV of a hardware line
             if line in s.loads or line in s.stores:
                 continue
-            emitted += 1
-            if emitted > ctx.max_diagnostics_per_rule:
-                return
             yield coh009_diagnostic(s.phase, ir.phase_name(s.phase),
                                     s.task, line)
 
@@ -365,9 +476,9 @@ def coh010_diagnostic(phase: int, phase_name: str, task: int, line: int,
               "transition, or delay the transition"))
 
 
+@_capped
 def check_coh010(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
     ir = ctx.ir
-    emitted = 0
     for tr in ctx.schedule:
         if tr.action != "to_hwcc":
             continue
@@ -392,51 +503,58 @@ def check_coh010(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
                     why = "partial-valid"
                 else:
                     continue
-                emitted += 1
-                if emitted > ctx.max_diagnostics_per_rule:
-                    return
                 yield coh010_diagnostic(s.phase, ir.phase_name(s.phase),
                                         s.task, line, tr.phase, why)
 
 
-def _registry() -> Dict[str, AnalyzeRule]:
-    shared = {
-        "COH001": (coh001_missing_flush.RULE, check_coh001),
-        "COH002": (coh002_missing_invalidate.RULE, check_coh002),
-        "COH003": (coh003_intra_phase_race.RULE, check_coh003),
-        "COH004": (coh004_domain_misuse.RULE, check_coh004),
-        "COH005": (coh005_redundant_op.RULE, check_coh005),
-        "COH006": (coh006_atomic_swcc.RULE, check_coh006),
-    }
-    rules = {
-        rule_id: AnalyzeRule(id=lint_rule.id, name=lint_rule.name,
-                             severity=lint_rule.severity,
-                             summary=lint_rule.summary, check=check)
-        for rule_id, (lint_rule, check) in shared.items()
-    }
-    rules["COH007"] = AnalyzeRule(
+ANALYZE_RULES: Dict[str, AnalyzeRule] = {rule.id: rule for rule in (
+    AnalyzeRule(
+        id="COH001", name="missing-flush", severity=Severity.ERROR,
+        summary="SWcc store consumed in a later phase but never flushed",
+        check=check_coh001),
+    AnalyzeRule(
+        id="COH002", name="missing-invalidate", severity=Severity.ERROR,
+        summary="phase-variant SWcc line cached without a barrier "
+                "invalidate",
+        check=check_coh002),
+    AnalyzeRule(
+        id="COH003", name="intra-phase-race", severity=Severity.ERROR,
+        summary="two tasks of one phase conflict on a word, one a plain "
+                "store",
+        check=check_coh003),
+    AnalyzeRule(
+        id="COH004", name="domain-misuse", severity=Severity.WARNING,
+        summary="WB/INV instruction aimed at a hardware-coherent line",
+        check=check_coh004),
+    AnalyzeRule(
+        id="COH005", name="redundant-op", severity=Severity.WARNING,
+        summary="duplicate flush/invalidate of one line within a task",
+        check=check_coh005),
+    AnalyzeRule(
+        id="COH006", name="atomic-swcc", severity=Severity.WARNING,
+        summary="uncached atomic RMW aimed at a software-managed line",
+        check=check_coh006),
+    AnalyzeRule(
         id="COH007", name="stale-read-window", severity=Severity.ERROR,
         summary="cached load endangered by an un-invalidated earlier copy",
-        check=check_coh007)
-    rules["COH008"] = AnalyzeRule(
+        check=check_coh007),
+    AnalyzeRule(
         id="COH008", name="redundant-writeback", severity=Severity.WARNING,
         summary="WB of an SWcc line the issuing task never stores",
-        check=check_coh008)
-    rules["COH009"] = AnalyzeRule(
+        check=check_coh008),
+    AnalyzeRule(
         id="COH009", name="useless-invalidate", severity=Severity.WARNING,
         summary="INV of an SWcc line the issuing task never touches",
-        check=check_coh009)
-    rules["COH010"] = AnalyzeRule(
+        check=check_coh009),
+    AnalyzeRule(
         id="COH010", name="unsafe-transition", severity=Severity.ERROR,
         summary="scheduled to_hwcc with a possibly-resident unsound copy",
-        check=check_coh010)
-    return rules
-
-
-ANALYZE_RULES: Dict[str, AnalyzeRule] = _registry()
+        check=check_coh010),
+)}
 ANALYZE_RULE_IDS: Tuple[str, ...] = tuple(ANALYZE_RULES)
 
 __all__ = ["ANALYZE_RULES", "ANALYZE_RULE_IDS", "AnalyzeContext",
-           "AnalyzeRule", "Transition", "check_coh001", "check_coh002",
-           "check_coh003", "check_coh004", "check_coh005", "check_coh006",
-           "check_coh007", "check_coh008", "check_coh009", "check_coh010"]
+           "AnalyzeRule", "MAX_DIAGNOSTICS_PER_RULE", "Transition",
+           "check_coh001", "check_coh002", "check_coh003", "check_coh004",
+           "check_coh005", "check_coh006", "check_coh007", "check_coh008",
+           "check_coh009", "check_coh010"]

@@ -1,114 +1,79 @@
-"""Drive the whole-program analyzer over one frozen artifact.
+"""Drive the analyzer over one frozen artifact.
 
 :func:`analyze_frozen` is the core entry point: build the
 :class:`~repro.analyze.ir.AnalysisIR` from the artifact's flat op
-slices, resolve a boot-time :class:`~repro.lint.model.DomainModel`
+slices, resolve a boot-time :class:`~repro.analyze.domain.DomainModel`
 (from the address layout alone -- no machine), run the requested
-COH001..COH010 rules, and return an :class:`AnalysisReport` whose
-findings half is a plain :class:`~repro.lint.diagnostics.LintReport`
-sorted with the linter's shared key -- which is what lets the
-acceptance gate diff the two engines finding-for-finding.
+COH001..COH010 rules, and return an
+:class:`~repro.analyze.report.AnalysisReport` sorted with
+:func:`~repro.analyze.report.diagnostic_sort_key`.
 
 :func:`analyze_workload` wraps the pipeline for one named kernel: the
 program artifact comes from the two-level experiment cache when
-possible (a prior ``repro run``/``repro lint`` session's frozen build),
-otherwise the workload builds once and is frozen on the spot; either
-way the *analysis* consumes only the frozen form.
+possible (a prior ``repro run``/``repro analyze`` session's frozen
+build), otherwise the workload builds once and is frozen on the spot;
+either way the *analysis* consumes only the frozen form.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.analyze.domain import DomainModel
 from repro.analyze.ir import AnalysisIR
+from repro.analyze.report import AnalysisReport, diagnostic_sort_key
 from repro.analyze.rules import (ANALYZE_RULES, AnalyzeContext, AnalyzeRule,
                                  Transition)
-from repro.lint.diagnostics import LintReport, diagnostic_sort_key
-from repro.lint.model import DomainModel
-from repro.runtime.program import FrozenProgram, Program
+from repro.errors import ScheduleError
+from repro.runtime.program import FrozenProgram, Program, freeze_phase
 from repro.types import PolicyKind
 
-
-@dataclass
-class AnalysisReport:
-    """Findings plus whole-program summary facts for one artifact."""
-
-    findings: LintReport
-    summary: Dict[str, object] = field(default_factory=dict)
-    advice: Optional[Dict[str, object]] = None
-
-    @property
-    def clean(self) -> bool:
-        return self.findings.clean
-
-    @property
-    def errors(self) -> List:
-        return self.findings.errors
-
-    @property
-    def warnings(self) -> List:
-        return self.findings.warnings
-
-    def format(self) -> str:
-        """Compiler-style listing, mirroring ``LintReport.format``."""
-        text = self.findings.format().replace("lint ", "analyze ", 1)
-        lines = [text]
-        if self.summary:
-            lines.append("summary: " + ", ".join(
-                f"{key}={value}" for key, value in self.summary.items()))
-        return "\n".join(lines)
-
-    def as_dict(self) -> Dict[str, object]:
-        payload = self.findings.as_dict()
-        payload["summary"] = dict(self.summary)
-        if self.advice is not None:
-            payload["advice"] = self.advice
-        return payload
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
-
-
 def ensure_frozen(program) -> FrozenProgram:
-    """``program`` as a frozen artifact (freezing a plain Program)."""
+    """``program`` as a frozen artifact, freezing a plain Program in
+    memory. ``Phase.after`` hooks are kept (``Program.freeze`` refuses
+    them, having no on-disk form) so the analysis can note them; the
+    result is never meant for disk."""
     if isinstance(program, FrozenProgram):
         return program
     if isinstance(program, Program):
-        return program.freeze()
+        return FrozenProgram(
+            name=program.name,
+            phases=[freeze_phase(phase, keep_after=True)
+                    for phase in program.phases],
+            expected=dict(program.expected))
     raise TypeError(f"cannot analyze {type(program).__name__}")
 
 
 def analyze_frozen(frozen, kind: PolicyKind = PolicyKind.COHESION,
                    domain: Optional[DomainModel] = None, layout=None,
                    rules: Optional[Iterable[str]] = None,
-                   schedule: Sequence[Transition] = (),
-                   max_diagnostics_per_rule: int = 200) -> AnalysisReport:
+                   schedule: Sequence[Transition] = ()) -> AnalysisReport:
     """Statically analyze one frozen artifact, machine-free.
 
     ``domain`` overrides the boot-time model resolved from ``layout``
     (default layout when omitted). ``schedule`` is the transition plan
     COH010 audits; plain analysis passes none and COH010 is vacuous.
+    Raises :class:`~repro.errors.ScheduleError` for a schedule entry
+    with an unknown action, a non-positive size, or a barrier outside
+    the program.
     """
     frozen = ensure_frozen(frozen)
     if domain is None:
         domain = DomainModel.of_layout(kind, layout)
     selected = _select_rules(rules)
     ir = AnalysisIR.of_frozen(frozen)
-    ctx = AnalyzeContext(ir=ir, domain=domain,
-                         max_diagnostics_per_rule=max_diagnostics_per_rule,
-                         schedule=tuple(schedule))
-    findings = LintReport(program=frozen.name, policy=domain.kind.value,
-                          rules_run=[rule.id for rule in selected])
+    _check_schedule(schedule, ir.n_phases)
+    ctx = AnalyzeContext(ir=ir, domain=domain, schedule=tuple(schedule))
+    report = AnalysisReport(program=frozen.name, policy=domain.kind.value,
+                            rules_run=[rule.id for rule in selected])
     per_rule: Dict[str, int] = {}
     for rule in selected:
         produced = list(rule.check(ctx))
         per_rule[rule.id] = len(produced)
-        findings.diagnostics.extend(produced)
-    findings.diagnostics.sort(key=diagnostic_sort_key)
+        report.diagnostics.extend(produced)
+    report.diagnostics.sort(key=diagnostic_sort_key)
     if ir.has_after_hooks and domain.kind is PolicyKind.COHESION:
-        findings.notes.append(
+        report.notes.append(
             "program has Phase.after hooks; if they re-map coherence "
             "domains at runtime the static domain model only reflects the "
             "boot-time region tables")
@@ -123,7 +88,23 @@ def analyze_frozen(frozen, kind: PolicyKind = PolicyKind.COHESION,
         summary[rule_id] = count
     summary["redundant_wb_sites"] = per_rule.get("COH008", 0)
     summary["useless_inv_sites"] = per_rule.get("COH009", 0)
-    return AnalysisReport(findings=findings, summary=summary)
+    report.summary = summary
+    return report
+
+
+def _check_schedule(schedule: Sequence[Transition], n_phases: int) -> None:
+    """Reject a transition COH010 would otherwise skip in silence."""
+    for tr in schedule:
+        if tr.action not in ("to_hwcc", "to_swcc"):
+            raise ScheduleError(f"unknown action {tr.action!r}; expected "
+                                "'to_hwcc' or 'to_swcc'")
+        if tr.size <= 0:
+            raise ScheduleError(
+                f"transition size must be positive, got {tr.size}")
+        if not 0 <= tr.phase < n_phases:
+            raise ScheduleError(
+                f"transition phase {tr.phase} is outside the program's "
+                f"phases 0..{n_phases - 1}")
 
 
 def analyze_workload(name: str, policy=None, exp=None,

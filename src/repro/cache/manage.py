@@ -11,7 +11,7 @@ into one bucket:
 * **unreadable** -- the entry (or the cache tree itself) could not be
   *accessed*: I/O errors, permission problems, a directory where a file
   should be. The audit cannot vouch for such a store, so the CLI fails
-  with the lint-style environment exit code (2) instead of pretending
+  with ``repro analyze``'s environment exit code (2) instead of pretending
   the scan was complete.
 
 ``clear`` likewise no longer lets removal errors escape as raw

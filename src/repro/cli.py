@@ -10,9 +10,10 @@ Commands
     Run one workload with the observability bus fully instrumented and
     export a Chrome-trace/Perfetto JSON timeline plus metrics
     time-series (``--self-check`` schema-validates the export for CI).
-``lint``
-    Statically check a workload's program against the SWcc coherence
-    rules (COH001..COH006) without simulating anything.
+``analyze``
+    Statically check a workload's frozen program (or an artifact file)
+    against the coherence rules COH001..COH010 without simulating
+    anything.
 ``mc``
     Exhaustively model-check the protocol implementation itself: drive
     the real directory + transition engine through every interleaving
@@ -245,58 +246,12 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    from repro.lint import Severity, lint_workload
-
-    exp = _experiment_from_args(args)
-    names = ALL_WORKLOADS if args.all else (args.workload,)
-    if names == (None,):
-        print("lint: name a workload or pass --all", file=sys.stderr)
-        return 2
-    if args.policy == "all":
-        policies = [("swcc", policy_from_name("swcc")),
-                    ("hwcc-ideal", policy_from_name("hwcc-ideal")),
-                    ("cohesion", policy_from_name("cohesion"))]
-    else:
-        policies = [(args.policy, policy_from_name(args.policy))]
-    rules = args.rules.split(",") if args.rules else None
-
-    reports = []
-    try:
-        for name in names:
-            for label, policy in policies:
-                report, _program, _machine = lint_workload(
-                    name, policy=policy, exp=exp, rules=rules)
-                report.policy = label  # concrete design point, not the kind
-                reports.append(report)
-    except KeyError as err:
-        print(f"lint: {err.args[0]}", file=sys.stderr)
-        return 2
-    if args.json:
-        import json
-        print(json.dumps([r.as_dict() for r in reports], indent=2))
-    else:
-        for report in reports:
-            print(report.format())
-            print()
-        total_e = sum(len(r.errors) for r in reports)
-        total_w = sum(len(r.warnings) for r in reports)
-        print(f"linted {len(reports)} program(s): "
-              f"{total_e} error(s), {total_w} warning(s)")
-    if any(r.errors for r in reports):
-        return 1
-    if any(d.severity is Severity.WARNING
-           for r in reports for d in r.diagnostics):
-        return 2
-    return 0
-
-
 def cmd_analyze(args) -> int:
     import json
 
-    from repro.analyze import (Transition, advise_program, analyze_frozen,
-                               analyze_workload)
-    from repro.lint import Severity
+    from repro.analyze import (Severity, Transition, advise_program,
+                               analyze_frozen, analyze_workload)
+    from repro.errors import ScheduleError
 
     rules = args.rules.split(",") if args.rules else None
     schedule = ()
@@ -327,7 +282,7 @@ def cmd_analyze(args) -> int:
             for label, policy in policies:
                 report = analyze_frozen(frozen, kind=policy.kind,
                                         rules=rules, schedule=schedule)
-                report.findings.policy = label
+                report.policy = label
                 if args.advise:
                     report.advice = advise_program(frozen, kind=policy.kind)
                 reports.append(report)
@@ -343,10 +298,13 @@ def cmd_analyze(args) -> int:
                     report, _frozen, _machine = analyze_workload(
                         name, policy=policy, exp=exp, rules=rules,
                         schedule=schedule, advise=args.advise)
-                    report.findings.policy = label
+                    report.policy = label
                     reports.append(report)
     except KeyError as err:
         print(f"analyze: {err.args[0]}", file=sys.stderr)
+        return 2
+    except ScheduleError as err:
+        print(f"analyze: bad schedule file: {err}", file=sys.stderr)
         return 2
     except ReproError as err:
         print(f"analyze: {err}", file=sys.stderr)
@@ -373,7 +331,7 @@ def cmd_analyze(args) -> int:
     if any(r.errors for r in reports):
         return 1
     if any(d.severity is Severity.WARNING
-           for r in reports for d in r.findings.diagnostics):
+           for r in reports for d in r.diagnostics):
         return 2
     return 0
 
@@ -388,7 +346,7 @@ def _analyze_summary(reports, path: str) -> None:
         lines.append("|---|---|---:|---:|---:|---:|")
     for r in reports:
         lines.append(
-            f"| {r.findings.program} | {r.findings.policy} "
+            f"| {r.program} | {r.policy} "
             f"| {len(r.errors)} | {len(r.warnings)} "
             f"| {r.summary.get('redundant_wb_sites', 0)} "
             f"| {r.summary.get('useless_inv_sites', 0)} |")
@@ -727,7 +685,7 @@ def cmd_cache(args) -> int:
                 print(f"cache: corrupt {problem}")
             print(f"cache verify: {len(report.corrupt)} corrupt, "
                   f"{len(report.unreadable)} unreadable problem(s)")
-        # Lint-style grading: corrupt entries are findings (exit 1, the
+        # Analyze-style grading: corrupt entries are findings (exit 1, the
         # caches already treat them as misses); access failures mean the
         # audit itself could not complete (environment exit 2).
         if report.unreadable:
@@ -815,23 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="schema-validate the written file (CI smoke)")
     _add_scale_args(p_trace)
     p_trace.set_defaults(func=cmd_trace)
-
-    p_lint = sub.add_parser(
-        "lint", help="static SWcc coherence check (no simulation)")
-    p_lint.add_argument("workload", nargs="?", choices=ALL_WORKLOADS,
-                        help="kernel to lint")
-    p_lint.add_argument("--all", action="store_true",
-                        help="lint every shipped kernel")
-    p_lint.add_argument("--policy", choices=POLICY_CHOICES + ("all",),
-                        default="all",
-                        help="design point(s) to resolve domains for "
-                             "(default: the three protocol kinds)")
-    p_lint.add_argument("--rules", default=None,
-                        help="comma-separated rule ids (default: all)")
-    p_lint.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    _add_scale_args(p_lint)
-    p_lint.set_defaults(func=cmd_lint)
 
     p_an = sub.add_parser(
         "analyze", help="whole-program static coherence analysis over "

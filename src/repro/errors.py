@@ -62,6 +62,11 @@ class FreezeError(ReproError):
     arbitrary Python callables."""
 
 
+class ScheduleError(ReproError):
+    """A transition schedule names an action, size or barrier that the
+    COH010 audit cannot check (it would otherwise skip it silently)."""
+
+
 class CacheAccessError(ReproError):
     """The on-disk experiment cache could not be accessed.
 

@@ -17,7 +17,7 @@ Three layers, all pure observers (no timing, no mutation):
 
 Software-managed (incoherent) copies are exempt from the value checks
 by design: divergence there is the SWcc contract, and the flush/
-invalidate obligations it creates are the lint suite's department.
+invalidate obligations it creates are ``repro analyze``'s department.
 """
 
 from __future__ import annotations

@@ -101,20 +101,6 @@ class Program:
     def total_ops(self) -> int:
         return sum(phase.total_ops for phase in self.phases)
 
-    def lint(self, machine=None, domain=None, rules=None):
-        """Statically check this program's software coherence protocol.
-
-        Runs the :mod:`repro.lint` rules (COH001..COH005) against the
-        op streams without simulating anything; domains are resolved
-        from ``machine``'s region tables (or an explicit
-        :class:`~repro.lint.model.DomainModel`). Returns a
-        :class:`~repro.lint.diagnostics.LintReport`.
-        """
-        from repro.lint import lint_program  # avoid an import cycle
-
-        return lint_program(self, machine=machine, domain=domain,
-                            rules=rules)
-
     def freeze(self) -> "FrozenProgram":
         """Compile to the compact :class:`FrozenProgram` form.
 
@@ -222,26 +208,6 @@ class FrozenProgram:
     @property
     def total_ops(self) -> int:
         return sum(phase.total_ops for phase in self.phases)
-
-    def lint(self, machine=None, domain=None, rules=None):
-        """Statically check this frozen program without thawing it.
-
-        Same contract as :meth:`Program.lint`; the rules consume the
-        flat op slices directly. When neither ``machine`` nor ``domain``
-        is given, domains are resolved from the default boot-time
-        address layout (:meth:`~repro.lint.model.DomainModel.of_layout`
-        under the Cohesion policy) so artifacts can be checked in a
-        process that never constructs a machine.
-        """
-        from repro.lint import lint_program  # avoid an import cycle
-
-        if machine is None and domain is None:
-            from repro.lint.model import DomainModel
-            from repro.types import PolicyKind
-
-            domain = DomainModel.of_layout(PolicyKind.COHESION)
-        return lint_program(self, machine=machine, domain=domain,
-                            rules=rules)
 
     def thaw(self) -> Program:
         """Reconstruct an equivalent mutable :class:`Program`."""

@@ -52,7 +52,7 @@ class KMeans(Workload):
         # accumulators are software-managed like everything else: the
         # update tasks' cached reads of ``acc`` go stale as the next
         # iteration's atomics rewrite it at the L3, so they must be
-        # dropped at the barrier (found by lint rule COH002).
+        # dropped at the barrier (found by analyzer rule COH002).
         acc = self.alloc("acc", max(64, _ACC_WORDS * 4), "hw",
                          inv_reads=True)
         partials = None

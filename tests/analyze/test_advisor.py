@@ -4,8 +4,8 @@ import pytest
 
 from repro import Machine, Policy
 from repro.analysis.experiments import ExperimentConfig
-from repro.analyze import ADVICE_SCHEMA, advise_program, analyze_workload
-from repro.lint import run_with_oracles
+from repro.analyze import (ADVICE_SCHEMA, advise_program, analyze_workload,
+                           run_with_oracles)
 from repro.mem.address import line_of
 from repro.types import OP_ATOMIC, OP_LOAD, OP_STORE, PolicyKind
 from repro.workloads import ALL_WORKLOADS, get_workload

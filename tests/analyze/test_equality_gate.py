@@ -1,12 +1,13 @@
-"""Soundness gate: the two static engines agree finding-for-finding.
+"""Artifact gate: the report is the same whatever form the program takes.
 
-``repro lint`` walks live per-task op lists; ``repro analyze`` derives
-its verdicts from the frozen artifact's flat slices and bitmask
-happens-before vectors. The two implementations share each rule's
-diagnostic factory but nothing of their program representation, so
-exact agreement -- same rules, same sites, same messages, same order --
-over every shipped kernel under every policy is a real cross-check of
-both. Corrupted programs extend the gate beyond the all-clean case.
+The analyzer meets a program in three forms: a live ``Program`` frozen
+in memory (``ensure_frozen``, which keeps ``Phase.after`` hooks), the
+artifact ``Program.freeze()`` builds for the executor and the cache, and
+that artifact written to disk and loaded back with no machine
+(``repro analyze --artifact``). Exact agreement -- same rules, same
+sites, same messages, same order, same text and JSON -- over every
+shipped kernel under every policy, and over seeded corrupted programs
+that trip the rules, shows the verdicts depend on the program alone.
 """
 
 import random
@@ -15,33 +16,40 @@ import pytest
 
 from repro.analysis.experiments import ExperimentConfig
 from repro.analyze import analyze_frozen, analyze_workload
+from repro.analyze import rules as analyze_rules
+from repro.cache import dump_artifact, load_artifact
 from repro.cli import policy_from_name
-from repro.lint import lint_program, lint_workload
 from repro.runtime.program import Phase, Program, Task
 from repro.types import OP_LOAD, OP_STORE, PolicyKind
 from repro.workloads import ALL_WORKLOADS
 
-from tests.analyze.conftest import diag_tuples, swcc_domain
+from tests.analyze.conftest import SHARED_RULES, diag_tuples, swcc_domain
 
 EXP = ExperimentConfig(n_clusters=1, scale=0.2)
-SHARED_RULES = ["COH001", "COH002", "COH003", "COH004", "COH005", "COH006"]
+
+
+def _reloaded(frozen, tmp_path):
+    path = tmp_path / f"{frozen.name}.pkl"
+    dump_artifact(frozen, path)
+    return load_artifact(path)
 
 
 @pytest.mark.parametrize("policy_name", ["swcc", "hwcc-ideal", "cohesion"])
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
-def test_kernel_reports_identical(name, policy_name):
+def test_kernel_reports_identical(name, policy_name, tmp_path):
     policy = policy_from_name(policy_name)
-    lint_report, _program, _machine = lint_workload(
-        name, policy=policy, exp=EXP)
     analysis, frozen, _machine = analyze_workload(name, policy=policy,
                                                   exp=EXP)
-    assert diag_tuples(analysis) == diag_tuples(lint_report)
-    assert analysis.clean and lint_report.clean
-    # The whole-program rules find nothing new on disciplined kernels.
+    offline = analyze_frozen(_reloaded(frozen, tmp_path), kind=policy.kind)
+    assert diag_tuples(offline) == diag_tuples(analysis)
+    assert offline.format() == analysis.format()
+    assert offline.to_json() == analysis.to_json()
+    assert analysis.clean
+    # The whole-program rules find nothing on disciplined kernels.
     for rule_id in ("COH007", "COH008", "COH009", "COH010"):
         assert analysis.summary[rule_id] == 0
     assert analysis.summary["ops"] == frozen.total_ops
-    assert analysis.findings.notes == lint_report.notes
+    assert analysis.notes == []
 
 
 def _random_program(seed: int) -> Program:
@@ -51,7 +59,7 @@ def _random_program(seed: int) -> Program:
     invalidate) and then corrupts it: dropped flushes (COH001), dropped
     invalidates (COH002/COH007), intra-phase write sharing (COH003),
     duplicated coherence ops (COH005), and flushes/invalidates of
-    untouched lines (COH008/COH009 for the analyzer).
+    untouched lines (COH008/COH009).
     """
     rng = random.Random(seed)
     base_line = 0x4000_0000 >> 5
@@ -83,23 +91,26 @@ def _random_program(seed: int) -> Program:
     return Program(name=f"fuzz{seed}", phases=phases)
 
 
+def _three_forms(prog, tmp_path, **kwargs):
+    domain = swcc_domain()
+    return [analyze_frozen(form, kind=PolicyKind.SWCC, domain=domain,
+                           **kwargs)
+            for form in (prog, prog.freeze(),
+                         _reloaded(prog.freeze(), tmp_path))]
+
+
 @pytest.mark.parametrize("seed", range(40))
-def test_corrupted_programs_report_identical(seed):
-    prog = _random_program(seed)
-    domain = swcc_domain()
-    lint_report = lint_program(prog, domain=domain)
-    analysis = analyze_frozen(prog.freeze(), kind=PolicyKind.SWCC,
-                              domain=domain, rules=SHARED_RULES)
-    assert diag_tuples(analysis) == diag_tuples(lint_report)
+def test_corrupted_programs_report_identical(seed, tmp_path):
+    live, frozen, offline = _three_forms(_random_program(seed), tmp_path)
+    assert diag_tuples(live) == diag_tuples(frozen) == diag_tuples(offline)
+    assert live.to_json() == frozen.to_json() == offline.to_json()
 
 
-def test_truncation_agrees():
-    # Both engines must cut at max_diagnostics_per_rule identically.
-    prog = _random_program(7)
-    domain = swcc_domain()
-    lint_report = lint_program(prog, domain=domain,
-                               max_diagnostics_per_rule=2)
-    analysis = analyze_frozen(prog.freeze(), kind=PolicyKind.SWCC,
-                              domain=domain, rules=SHARED_RULES,
-                              max_diagnostics_per_rule=2)
-    assert diag_tuples(analysis) == diag_tuples(lint_report)
+def test_truncation_agrees(monkeypatch, tmp_path):
+    # Every form cuts at the per-rule cap identically.
+    monkeypatch.setattr(analyze_rules, "MAX_DIAGNOSTICS_PER_RULE", 2)
+    live, frozen, offline = _three_forms(_random_program(7), tmp_path,
+                                         rules=SHARED_RULES)
+    assert diag_tuples(live) == diag_tuples(frozen) == diag_tuples(offline)
+    per_rule = [d.rule for d in live.diagnostics]
+    assert max(per_rule.count(rule) for rule in set(per_rule)) == 2

@@ -133,7 +133,7 @@ class TestVerifyClassification:
 
 class TestVerifyExitCodes:
     """The CLI grades the two buckets differently: findings exit 1,
-    an incomplete audit exits 2 (lint-style environment failure)."""
+    an incomplete audit exits 2 (analyze-style environment failure)."""
 
     @pytest.fixture(autouse=True)
     def _own_cache(self, cache_dir):

@@ -153,41 +153,6 @@ class TestCommands:
                      "sobel", "stencil"):
             assert name in out
 
-    def test_lint_single_workload(self, capsys):
-        code = main(["lint", "sobel", "--clusters", "1", "--scale", "0.2"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "lint sobel [swcc]" in out
-        assert "lint sobel [cohesion]" in out
-        assert "linted 3 program(s): 0 error(s), 0 warning(s)" in out
-
-    def test_lint_all_json(self, capsys):
-        import json
-
-        code = main(["lint", "--all", "--policy", "cohesion", "--json",
-                     "--clusters", "1", "--scale", "0.2"])
-        out = capsys.readouterr().out
-        assert code == 0
-        reports = json.loads(out)
-        assert len(reports) == 8
-        assert all(r["clean"] for r in reports)
-
-    def test_lint_rule_filter(self, capsys):
-        code = main(["lint", "gjk", "--policy", "swcc",
-                     "--rules", "coh001,coh003",
-                     "--clusters", "1", "--scale", "0.1"])
-        assert code == 0
-
-    def test_lint_without_workload_rejected(self, capsys):
-        assert main(["lint"]) == 2
-
-    def test_lint_unknown_rule_clean_error(self, capsys):
-        code = main(["lint", "gjk", "--policy", "swcc", "--clusters", "1",
-                     "--scale", "0.1", "--rules", "COH999"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "unknown lint rule 'COH999'" in err
-
     def test_analyze_single_workload(self, capsys):
         code = main(["analyze", "sobel", "--clusters", "1",
                      "--scale", "0.2"])
@@ -248,31 +213,56 @@ class TestCommands:
         assert "| program | policy |" in text
         assert "| gjk | swcc | 0 | 0 | 0 | 0 |" in text
 
-    def test_analyze_schedule_drives_coh010(self, tmp_path, capsys):
-        # An artifact that leaves an unflushed dirty SWcc copy behind,
-        # plus a schedule moving that region to hardware: COH010 errors.
-        import json
-
+    @staticmethod
+    def _unsafe_artifact(tmp_path):
+        """A one-phase artifact that leaves an unflushed dirty SWcc copy
+        of line ``0x4000_0000`` behind."""
         from repro.cache import dump_artifact
         from repro.runtime.program import Phase, Program, Task
         from repro.types import OP_STORE
 
-        addr = 0x4000_0000
         prog = Program(name="unsafe", phases=[Phase(
-            name="w", tasks=[Task(ops=[(OP_STORE, addr, 1)],
+            name="w", tasks=[Task(ops=[(OP_STORE, 0x4000_0000, 1)],
                                   flush_lines=[], input_lines=[],
                                   stack_words=0)], code_lines=0)])
         artifact = tmp_path / "unsafe.pkl"
         dump_artifact(prog.freeze(), artifact)
+        return artifact
+
+    def _analyze_schedule(self, tmp_path, entry):
+        import json
+
+        artifact = self._unsafe_artifact(tmp_path)
         sched = tmp_path / "sched.json"
-        sched.write_text(json.dumps([
-            {"phase": 0, "action": "to_hwcc", "base": addr, "size": 64}]))
-        code = main(["analyze", "--artifact", str(artifact),
+        sched.write_text(json.dumps([entry]))
+        return main(["analyze", "--artifact", str(artifact),
                      "--policy", "cohesion", "--schedule", str(sched),
                      "--rules", "COH010"])
+
+    def test_analyze_schedule_drives_coh010(self, tmp_path, capsys):
+        # A schedule moving the unflushed region to hardware: COH010
+        # errors.
+        code = self._analyze_schedule(tmp_path, {
+            "phase": 0, "action": "to_hwcc", "base": 0x4000_0000,
+            "size": 64})
         out = capsys.readouterr().out
         assert code == 1
         assert "COH010" in out and "unflushed-dirty" in out
+
+    @pytest.mark.parametrize("bad", [
+        {"action": "to-hwcc"}, {"size": 0}, {"phase": -1}, {"phase": 7}],
+        ids=["action", "size", "negative-phase", "phase-past-end"])
+    def test_analyze_bad_schedule_entry_rejected(self, tmp_path, capsys,
+                                                 bad):
+        # Each of these would otherwise switch COH010 off (or point it
+        # at a barrier the program does not have).
+        entry = {"phase": 0, "action": "to_hwcc", "base": 0x4000_0000,
+                 "size": 64}
+        entry.update(bad)
+        code = self._analyze_schedule(tmp_path, entry)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "analyze: bad schedule file: " in err
 
     def test_analyze_without_workload_rejected(self, capsys):
         assert main(["analyze"]) == 2
