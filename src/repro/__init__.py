@@ -32,8 +32,7 @@ from repro.sim.machine import Machine
 from repro.sim.stats import RunStats
 from repro.types import (DirectoryKind, Domain, MessageType, PolicyKind,
                          SegmentClass)
-from repro.workloads import (ALL_WORKLOADS, WORKLOADS, TraceWorkload,
-                             Workload, get_workload)
+from repro.workloads import ALL_WORKLOADS, WORKLOADS, Workload, get_workload
 
 __version__ = "1.0.0"
 
@@ -46,7 +45,6 @@ __all__ = [
     "InvariantChecker",
     "LineTracer",
     "RegionProfiler",
-    "TraceWorkload",
     "CoherenceRaceError",
     "ConfigError",
     "DirectoryKind",

@@ -391,3 +391,39 @@ def run_stack_only_ablation(workloads: Sequence[str] = ALL_WORKLOADS,
                 / max(1.0, hwcc.dir_avg_entries)),
         }
     return results
+
+
+# -- model-knob ablation (DESIGN.md's substitutions) ---------------------------------
+
+#: Per-cluster write-buffer depths and combining-tree root bandwidths
+#: (messages/cycle) swept by :func:`run_model_knobs`.
+BUFFER_DEPTHS = (2, 8, 16, 64)
+TREE_BANDWIDTHS = (1.0, 2.0, 4.0, 16.0)
+
+
+def run_model_knobs(workload: str = "sobel",
+                    exp: Optional[ExperimentConfig] = None,
+                    jobs: Optional[int] = None,
+                    progress: Optional[ProgressFn] = None
+                    ) -> Dict[Tuple[str, object], RunStats]:
+    """Cohesion on one kernel with the simulator's own timing knobs swept.
+
+    The paper gives neither the write-buffer depth nor the combining-tree
+    root bandwidth; sweeping them shows whether the committed defaults
+    sit on the flat part of each curve. Keys are ``("write_buffer",
+    depth)`` and ``("tree_bw", bandwidth)``, in sweep order.
+    """
+    exp = exp or ExperimentConfig()
+    sweep = CellSweep(jobs=jobs, progress=progress)
+    results: Dict[Tuple[str, object], RunStats] = {}
+    for knob, field_name, values in (
+            ("write_buffer", "write_buffer_depth", BUFFER_DEPTHS),
+            ("tree_bw", "tree_msgs_per_cycle", TREE_BANDWIDTHS)):
+        for value in values:
+            def merge(stats: RunStats, key=(knob, value)) -> None:
+                results[key] = stats
+            sweep.add(Cell.make(workload, Policy.cohesion(), exp,
+                                label=f"{workload}/{knob}={value}",
+                                **{field_name: value}), merge)
+    sweep.run()
+    return results

@@ -27,9 +27,8 @@ the same L3 RMW under either domain and are excluded from both sides.
 Safety is not a heuristic: each whole-run recommendation is re-checked
 by running the analyzer's staleness/race rules (COH001, COH002, COH003,
 COH007, plus the lost-update rule COH006) under a *hypothetical domain
-overlay* that moves the region, and any scheduled ``to_hwcc`` is
-audited by COH010. A recommendation is ``safe`` only when the overlay
-run surfaces no finding that the unmodified program didn't already
+overlay* that moves the region. A recommendation is ``safe`` only when
+the overlay run surfaces no finding that the unmodified program didn't already
 have. Mid-run ``to_swcc`` schedules are only proposed for regions that
 are write-free after the transition barrier, which makes them safe by
 construction (the Figure 7a transition flushes directory copies, and a
@@ -42,14 +41,13 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analyze.domain import DomainModel
 from repro.analyze.ir import AnalysisIR
-from repro.analyze.rules import (AnalyzeContext, Transition, check_coh001,
-                                 check_coh002, check_coh003, check_coh006,
-                                 check_coh007, check_coh010)
+from repro.analyze.rules import (AnalyzeContext, check_coh001, check_coh002,
+                                 check_coh003, check_coh006, check_coh007)
 from repro.mem.address import line_of
 from repro.types import PolicyKind
 
 #: Bumped whenever the advisor payload layout changes incompatibly.
-ADVICE_SCHEMA = 1
+ADVICE_SCHEMA = 2
 
 #: The rules a hypothetical domain flip must not newly trigger.
 _SAFETY_CHECKS = (check_coh001, check_coh002, check_coh003, check_coh006,
@@ -87,7 +85,7 @@ def advise_program(frozen, kind: PolicyKind = PolicyKind.COHESION,
                    ir: Optional[AnalysisIR] = None) -> Dict[str, object]:
     """Recommend a coherence domain for every allocated region.
 
-    Returns the schema-1 advice document (see ``docs/analysis.md``).
+    Returns the schema-2 advice document (see ``docs/analysis.md``).
     Only meaningful under the Cohesion policy -- the pure policies have
     no second domain to move data to; they get an empty region list.
     """
@@ -164,12 +162,8 @@ def _advise_region(name: str, alloc_kind: str, base: int, size: int,
     schedule: List[Dict[str, object]] = []
     reason_parts: List[str] = []
     if recommended != current:
-        # The flip is established before phase 0 (at/right after
-        # allocation), expressed as a barrier -1 transition; COH010
-        # audits it like any other (vacuously: no task precedes it).
-        schedule.append({"phase": -1,
-                         "action": f"to_{recommended}",
-                         "base": base, "size": size})
+        # A whole-run flip is applied at launch; recommended_domain
+        # states it, so the schedule holds only barrier transitions.
         reason_parts.append(
             f"static cost model prefers {recommended} "
             f"(swcc={swcc_cost} coherence instructions vs "
@@ -189,8 +183,8 @@ def _advise_region(name: str, alloc_kind: str, base: int, size: int,
         reason_parts.append(f"keep {current}: no cheaper safe assignment "
                             "found by the static model")
 
-    safe, safety_note = _safety(ir, domain, lo, hi, base, size, current,
-                                recommended, schedule, base_keys)
+    safe, safety_note = _safety(ir, domain, lo, hi, current, recommended,
+                                schedule, base_keys)
     predicted = {
         "swcc_messages": swcc_cost,
         "hwcc_messages": hwcc_cost,
@@ -225,16 +219,14 @@ def _advise_region(name: str, alloc_kind: str, base: int, size: int,
 
 
 def _safety(ir: AnalysisIR, domain: DomainModel, lo: int, hi: int,
-            base: int, size: int, current: str, recommended: str,
+            current: str, recommended: str,
             schedule: List[Dict[str, object]],
             base_keys: Set[Tuple]) -> Tuple[bool, str]:
     """Machine-check one region's recommendation.
 
     Whole-run flips re-run the staleness/race/lost-update rules under
     the overlay; mid-run ``to_swcc`` tails are safe by their write-free
-    trigger; every ``to_hwcc`` entry is audited by COH010 against the
-    *current* (pre-flip) domain, where the possibly-resident SWcc
-    copies live.
+    trigger.
     """
     notes: List[str] = []
     if recommended != current:
@@ -245,18 +237,6 @@ def _safety(ir: AnalysisIR, domain: DomainModel, lo: int, hi: int,
             return False, (f"hypothetical {recommended} overlay raises "
                            f"{len(new)} new finding(s): {', '.join(rules)}")
         notes.append(f"{recommended} overlay raises no new findings")
-    transitions = [Transition(phase=entry["phase"], action=entry["action"],
-                              base=base, size=size)
-                   for entry in schedule if entry["action"] == "to_hwcc"]
-    if transitions:
-        ctx = AnalyzeContext(ir=ir, domain=domain,
-                             schedule=tuple(transitions))
-        unsound = list(check_coh010(ctx))
-        if unsound:
-            return False, (f"COH010: {len(unsound)} possibly-resident "
-                           "unsound cop(ies) at the scheduled to_hwcc")
-        notes.append("scheduled to_hwcc passes COH010")
-    if any(entry["action"] == "to_swcc" and entry["phase"] >= 0
-           for entry in schedule):
+    if schedule:
         notes.append("to_swcc tail is write-free by construction")
     return True, "; ".join(notes) if notes else "no domain change proposed"

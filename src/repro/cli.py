@@ -24,10 +24,13 @@ Commands
 ``sweep``
     Directory-capacity sweep (Figure 9a/9b style) for one workload.
 ``figures``
-    Regenerate one or all of the paper's figures/tables into a results
-    directory (the same drivers the benchmark suite uses).
+    Render one or all of the paper's figures/tables from the figure
+    registry into a results directory (``results/`` holds them at the
+    committed scale).
+``validate``
+    Grade every claim of the figure registry from its own cells.
 ``area``
-    Print the Section 4.4 directory area estimates.
+    Print the Section 4.4 directory area table.
 ``info``
     Dump the (possibly scaled) machine configuration.
 ``workloads``
@@ -42,30 +45,24 @@ import pathlib
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.area import DirectoryAreaModel
-from repro.analysis.experiments import (DIRECTORY_SWEEP_SIZES, L2_SWEEP_BYTES,
-                                        ExperimentConfig,
-                                        run_directory_occupancy,
+from repro.analysis.experiments import (ExperimentConfig,
                                         run_directory_sweep,
                                         run_message_breakdown,
-                                        run_performance,
-                                        run_stack_only_ablation,
-                                        run_useful_coherence_ops,
-                                        run_workload, standard_policies,
-                                        figure10_policies)
+                                        run_workload, standard_policies)
+from repro.analysis.figures import (FIGURES, Sweeps, format_scorecard,
+                                    grade_all)
 from repro.analysis.parallel import stderr_progress
 from repro.analysis.report import (format_table, message_breakdown_rows,
                                    short_message_headers)
 from repro.errors import ReproError
-from repro.config import MachineConfig, Policy
-from repro.types import DirectoryKind, SegmentClass
+from repro.config import Policy
+from repro.types import DirectoryKind
 from repro.workloads import ALL_WORKLOADS
 
 POLICY_CHOICES = ("swcc", "hwcc-ideal", "hwcc-real", "hwcc-dir4b",
                   "cohesion", "cohesion-ideal", "cohesion-dir4b")
 
-FIGURE_CHOICES = ("fig02", "fig03", "fig08", "fig09a", "fig09b", "fig09c",
-                  "fig10", "sec44", "ablation", "all")
+FIGURE_CHOICES = (*FIGURES, "all")
 
 
 def policy_from_name(name: str, entries: int = 16 * 1024,
@@ -534,13 +531,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_area(args) -> int:
-    model = DirectoryAreaModel(MachineConfig())
-    rows = [[e.scheme, e.total_mb, e.fraction_of_l2 * 100]
-            for e in model.summary()]
-    print(format_table(["scheme", "MB", "% of L2"], rows,
-                       title="Section 4.4 directory area (1024-core baseline)"))
-    print(f"duplicate-tag associativity required: "
-          f"{model.duplicate_tag_associativity()} ways")
+    print(FIGURES["sec44"].text(Sweeps(ExperimentConfig())))
     return 0
 
 
@@ -567,11 +558,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from repro.analysis.validate import format_scorecard, run_validation
-
-    exp = _experiment_from_args(args)
-    results = run_validation(exp, progress=lambda msg: print(f"  {msg}"))
-    print()
+    results = grade_all(Sweeps(_experiment_from_args(args)))
     print(format_scorecard(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -587,81 +574,17 @@ def cmd_workloads(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    exp = _experiment_from_args(args)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    wanted = set(FIGURE_CHOICES[:-1]) if args.figure == "all" else {args.figure}
-    jobs = args.jobs
-    prog = _progress_from_args(args, "figures")
-
-    def publish(name: str, text: str) -> None:
+    names = list(FIGURES) if args.figure == "all" else [args.figure]
+    sweeps = Sweeps(_experiment_from_args(args), jobs=args.jobs,
+                    progress=_progress_from_args(args, "figures"))
+    for name in names:
+        text = FIGURES[name].text(sweeps)
         print(f"== {name}")
         print(text)
         print()
         (out / f"{name}.txt").write_text(text + "\n")
-
-    if "fig02" in wanted or "fig08" in wanted:
-        policies = standard_policies()
-        results = run_message_breakdown(ALL_WORKLOADS, policies, exp,
-                                        jobs=jobs, progress=prog)
-        for figure, labels in (("fig02", ("SWcc", "HWccIdeal")),
-                               ("fig08", tuple(policies))):
-            if figure not in wanted:
-                continue
-            sections = []
-            for name in ALL_WORKLOADS:
-                subset = {k: results[name][k] for k in labels}
-                rows = message_breakdown_rows(subset, normalize_to="SWcc")
-                sections.append(format_table(short_message_headers(), rows,
-                                             title=f"[{name}]"))
-            publish(figure, "\n\n".join(sections))
-    if "fig03" in wanted:
-        results = run_useful_coherence_ops(ALL_WORKLOADS, L2_SWEEP_BYTES, exp,
-                                           jobs=jobs, progress=prog)
-        headers = ["benchmark"] + [f"{s // 1024}K" for s in L2_SWEEP_BYTES]
-        rows = [[n] + [results[n][s]["useful_all"] for s in L2_SWEEP_BYTES]
-                for n in ALL_WORKLOADS]
-        publish("fig03", format_table(headers, rows))
-    for figure, hybrid in (("fig09a", False), ("fig09b", True)):
-        if figure in wanted:
-            results = run_directory_sweep(ALL_WORKLOADS,
-                                          DIRECTORY_SWEEP_SIZES,
-                                          hybrid=hybrid, exp=exp,
-                                          jobs=jobs, progress=prog)
-            headers = ["benchmark"] + [str(s) for s in DIRECTORY_SWEEP_SIZES]
-            rows = [[n] + [results[n][s] for s in DIRECTORY_SWEEP_SIZES]
-                    for n in ALL_WORKLOADS]
-            publish(figure, format_table(headers, rows))
-    if "fig09c" in wanted:
-        results = run_directory_occupancy(ALL_WORKLOADS, exp,
-                                          jobs=jobs, progress=prog)
-        rows = []
-        for n in ALL_WORKLOADS:
-            for label in ("Cohesion", "HWcc"):
-                e = results[n][label]
-                rows.append([n, label, e["avg"], e["max"],
-                             e["by_class"][SegmentClass.STACK]])
-        publish("fig09c", format_table(
-            ["benchmark", "config", "avg", "max", "stack avg"], rows))
-    if "fig10" in wanted:
-        results = run_performance(ALL_WORKLOADS, exp, jobs=jobs,
-                                  progress=prog)
-        labels = list(figure10_policies())
-        rows = [[n] + [results[n][label] for label in labels]
-                for n in ALL_WORKLOADS]
-        publish("fig10", format_table(["benchmark"] + labels, rows))
-    if "sec44" in wanted:
-        model = DirectoryAreaModel(MachineConfig())
-        rows = [[e.scheme, e.total_mb, e.fraction_of_l2 * 100]
-                for e in model.summary()]
-        publish("sec44", format_table(["scheme", "MB", "% of L2"], rows))
-    if "ablation" in wanted:
-        results = run_stack_only_ablation(ALL_WORKLOADS, exp, jobs=jobs,
-                                          progress=prog)
-        rows = [[n, results[n]["HWcc"], results[n]["StackOnly"],
-                 results[n]["Cohesion"]] for n in ALL_WORKLOADS]
-        publish("ablation", format_table(
-            ["benchmark", "HWcc", "stack-only", "Cohesion"], rows))
     _report_cache_stats("figures")
     return 0
 

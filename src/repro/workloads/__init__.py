@@ -16,9 +16,6 @@ from repro.workloads.kmeans import KMeans
 from repro.workloads.mri import MRIReconstruction
 from repro.workloads.sobel import SobelEdgeDetect
 from repro.workloads.stencil import Stencil3D
-from repro.workloads.tracefile import (TraceWorkload, dump_program,
-                                       load_program, load_trace,
-                                       record_workload)
 
 #: Paper order (Figures 2, 8, 9, 10).
 WORKLOADS: Dict[str, Type[Workload]] = {
@@ -69,12 +66,7 @@ __all__ = [
     "SobelEdgeDetect",
     "Stencil3D",
     "TaskSketch",
-    "TraceWorkload",
     "WORKLOADS",
     "Workload",
-    "dump_program",
     "get_workload",
-    "load_program",
-    "load_trace",
-    "record_workload",
 ]

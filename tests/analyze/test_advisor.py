@@ -4,8 +4,8 @@ import pytest
 
 from repro import Machine, Policy
 from repro.analysis.experiments import ExperimentConfig
-from repro.analyze import (ADVICE_SCHEMA, advise_program, analyze_workload,
-                           run_with_oracles)
+from repro.analyze import (ADVICE_SCHEMA, Transition, advise_program,
+                           analyze_frozen, analyze_workload, run_with_oracles)
 from repro.mem.address import line_of
 from repro.types import OP_ATOMIC, OP_LOAD, OP_STORE, PolicyKind
 from repro.workloads import ALL_WORKLOADS, get_workload
@@ -51,6 +51,17 @@ class TestSchema:
             if record["alloc_kind"] == "immutable":
                 assert record["recommended_domain"] == "swcc"
 
+    @pytest.mark.parametrize("name", ALL_WORKLOADS)
+    def test_schedule_feeds_back_to_the_coh010_audit(self, name):
+        # Every schedule entry is a barrier inside the program, so the
+        # advice round-trips through analyze --schedule.
+        report, frozen, _machine = analyze_workload(
+            name, policy=Policy.cohesion(), exp=EXP, advise=True)
+        schedule = [Transition(**entry)
+                    for record in report.advice["regions"]
+                    for entry in record["transition_schedule"]]
+        analyze_frozen(frozen, kind=PolicyKind.COHESION, schedule=schedule)
+
     def test_pure_policies_have_no_second_domain(self):
         report, _frozen, _machine = analyze_workload(
             "sobel", policy=Policy.swcc(), exp=EXP, advise=True)
@@ -82,11 +93,11 @@ class TestRecommendations:
             inputs=[line, line + 1, line + 2, line + 3])))
         advice = cohesion_advice(prog, [("sw", 256, sw_addr)])
         [record] = advice["regions"]
+        assert record["current_domain"] == "swcc"
         assert record["recommended_domain"] == "hwcc"
         assert record["safe"] is True
-        [flip] = record["transition_schedule"]
-        assert flip == {"phase": -1, "action": "to_hwcc",
-                        "base": sw_addr, "size": 256}
+        # The flip applies at launch; the schedule holds barriers only.
+        assert record["transition_schedule"] == []
         assert record["predicted"]["message_delta"] > 0
         assert "no new findings" in record["safety_note"]
 
@@ -150,15 +161,11 @@ class TestDynamicCrossval:
         advice = cohesion_advice(prog, [("sw", 256, sw_addr)])
         [record] = advice["regions"]
         assert record["safe"] is True
-        flips = [entry for entry in record["transition_schedule"]
-                 if entry["phase"] == -1]
-        [flip] = flips
-        assert flip["action"] == "to_hwcc"
-        machine.api.coh_HWcc_region(flip["base"], flip["size"])
+        assert record["current_domain"] == "swcc"
+        assert record["recommended_domain"] == "hwcc"
+        machine.api.coh_HWcc_region(record["base"], record["size"])
         # Mid-run entries apply at their barrier via the phase hook.
         for entry in record["transition_schedule"]:
-            if entry["phase"] < 0:
-                continue
             assert entry["action"] == "to_swcc"
             prog.phases[entry["phase"]].after = (
                 lambda m, e=entry: m.api.coh_SWcc_region(e["base"],
@@ -178,16 +185,14 @@ class TestDynamicCrossval:
         prog = workload.build(machine)
         applied = 0
         for record in report.advice["regions"]:
-            if not record["safe"]:
+            if (not record["safe"]
+                    or record["recommended_domain"] == record["current_domain"]):
                 continue
-            for entry in record["transition_schedule"]:
-                if entry["phase"] != -1:
-                    continue
-                convert = (machine.api.coh_HWcc_region
-                           if entry["action"] == "to_hwcc"
-                           else machine.api.coh_SWcc_region)
-                convert(entry["base"], entry["size"])
-                applied += 1
+            convert = (machine.api.coh_HWcc_region
+                       if record["recommended_domain"] == "hwcc"
+                       else machine.api.coh_SWcc_region)
+            convert(record["base"], record["size"])
+            applied += 1
         run = run_with_oracles(machine, prog, trace=False)
         assert not run.protocol_broken
         # kmeans' unsafe hw->swcc temptations were vetoed, never applied.

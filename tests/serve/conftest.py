@@ -59,11 +59,11 @@ class ServerThread:
         return self
 
     def __exit__(self, *exc) -> None:
-        shutdown = self.server.stop(drain=False)
-        try:
-            self.call(shutdown, timeout_s=15)
-        except RuntimeError:
-            shutdown.close()  # a test already stopped the server
+        # A test that already stopped the server (a drain on SIGTERM)
+        # left its thread finishing on its own: a second stop would race
+        # the loop's shutdown and be cancelled or refused.
+        if not self.server._closed.is_set():
+            self.call(self.server.stop(drain=False), timeout_s=15)
         self._thread.join(timeout=15)
 
     def call(self, coroutine, timeout_s: float = 60.0):

@@ -1,9 +1,13 @@
 """Command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main, policy_from_name
 from repro.types import DirectoryKind, PolicyKind
+
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 class TestPolicyNames:
@@ -137,7 +141,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "full-map" in out and "Dir4B" in out
-        assert "2048 ways" in out
+        assert "duplicate-tag assoc required   2,048" in out
 
     def test_info_command(self, capsys):
         code = main(["info", "--clusters", "2"])
@@ -201,7 +205,7 @@ class TestCommands:
                      "--advise-out", str(advice_path)])
         assert code == 0
         [doc] = json.loads(advice_path.read_text())
-        assert doc["schema"] == 1 and doc["program"] == "stencil"
+        assert doc["schema"] == 2 and doc["program"] == "stencil"
         assert doc["regions"]
 
     def test_analyze_summary_appended(self, tmp_path, capsys):
@@ -283,9 +287,31 @@ class TestCommands:
         assert "unknown analyze rule 'COH999'" in err
 
     def test_figures_single(self, tmp_path, capsys):
+        # sec44 is closed-form, so any scale renders the committed bytes.
         code = main(["figures", "sec44", "--out", str(tmp_path)])
         assert code == 0
-        assert (tmp_path / "sec44.txt").exists()
+        assert ((tmp_path / "sec44.txt").read_text()
+                == (RESULTS / "sec44.txt").read_text())
+        assert [p.name for p in tmp_path.iterdir()] == ["sec44.txt"]
+
+    def test_figure_choices_are_the_registry(self, capsys):
+        from repro.analysis.figures import FIGURES
+        from repro.cli import FIGURE_CHOICES
+
+        assert FIGURE_CHOICES == (*FIGURES, "all")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["figures", "fig02_messages"])
+
+    def test_validate_grades_registry_claims(self, capsys, monkeypatch):
+        from repro.analysis import figures
+
+        monkeypatch.setattr(figures, "FIGURES",
+                            {"sec44": figures.FIGURES["sec44"]})
+        code = main(["validate"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "[PASS] a Dir4B directory needs 2.88 MB" in out
+        assert "-- 3/3 claims reproduced" in out
 
     def test_figures_fig03(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CLUSTERS", "1")
