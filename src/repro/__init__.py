@@ -19,7 +19,6 @@ Quickstart::
 """
 
 from repro.config import MachineConfig, Policy
-from repro.core.adaptive import AdaptiveRemapper, RegionProfiler
 from repro.core.api import CohesionAPI
 from repro.core.cohesion import MemorySystem
 from repro.debug import InvariantChecker, LineTracer
@@ -38,13 +37,11 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ALL_WORKLOADS",
-    "AdaptiveRemapper",
     "AddressLayout",
     "AllocationError",
     "CohesionAPI",
     "InvariantChecker",
     "LineTracer",
-    "RegionProfiler",
     "CoherenceRaceError",
     "ConfigError",
     "DirectoryKind",

@@ -98,7 +98,6 @@ class AnalysisReport:
     static domain model cannot see through)."""
     rules_run: List[str] = field(default_factory=list)
     summary: Dict[str, object] = field(default_factory=dict)
-    advice: Optional[Dict[str, object]] = None
 
     @property
     def errors(self) -> List[Diagnostic]:
@@ -134,7 +133,7 @@ class AnalysisReport:
         return "\n".join(lines)
 
     def as_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "program": self.program,
             "policy": self.policy,
             "clean": self.clean,
@@ -145,9 +144,6 @@ class AnalysisReport:
             "diagnostics": [d.as_dict() for d in self.diagnostics],
             "summary": dict(self.summary),
         }
-        if self.advice is not None:
-            payload["advice"] = self.advice
-        return payload
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent)

@@ -33,9 +33,9 @@ the surviving copy endangers. A program is COH007-clean exactly when it
 is COH002-clean, so the two rules never disagree -- they attribute the
 same window to its two ends. COH008/COH009 are the static predictors of
 the dynamic waste counters (``clean_wb``/``wasted_wb``/``wasted_inv``)
-the crossval oracles measure. COH010 only fires when a *transition
-schedule* is supplied (the advisor's proposals, or an explicit plan);
-plain-program analysis never sees one.
+the crossval oracles measure. COH010 only fires when an explicit
+*transition schedule* is supplied; plain-program analysis never sees
+one.
 
 Every rule reports at most :data:`MAX_DIAGNOSTICS_PER_RULE` findings.
 """
@@ -554,7 +554,4 @@ ANALYZE_RULES: Dict[str, AnalyzeRule] = {rule.id: rule for rule in (
 ANALYZE_RULE_IDS: Tuple[str, ...] = tuple(ANALYZE_RULES)
 
 __all__ = ["ANALYZE_RULES", "ANALYZE_RULE_IDS", "AnalyzeContext",
-           "AnalyzeRule", "MAX_DIAGNOSTICS_PER_RULE", "Transition",
-           "check_coh001", "check_coh002", "check_coh003", "check_coh004",
-           "check_coh005", "check_coh006", "check_coh007", "check_coh008",
-           "check_coh009", "check_coh010"]
+           "AnalyzeRule", "MAX_DIAGNOSTICS_PER_RULE", "Transition"]

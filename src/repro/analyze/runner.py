@@ -109,8 +109,7 @@ def _check_schedule(schedule: Sequence[Transition], n_phases: int) -> None:
 
 def analyze_workload(name: str, policy=None, exp=None,
                      rules: Optional[Iterable[str]] = None,
-                     schedule: Sequence[Transition] = (),
-                     advise: bool = False
+                     schedule: Sequence[Transition] = ()
                      ) -> Tuple[AnalysisReport, FrozenProgram, "object"]:
     """Obtain ``name``'s frozen artifact for ``policy`` and analyze it.
 
@@ -131,15 +130,8 @@ def analyze_workload(name: str, policy=None, exp=None,
     workload = get_workload(name, scale=exp.scale, seed=exp.seed)
     program = build_program(name, workload, machine)
     frozen = ensure_frozen(program)
-    if not frozen.alloc_log:
-        frozen.alloc_log = list(getattr(workload, "_alloc_log", ()))
     report = analyze_frozen(frozen, kind=policy.kind, layout=machine.layout,
                             rules=rules, schedule=schedule)
-    if advise:
-        from repro.analyze.advisor import advise_program
-
-        report.advice = advise_program(frozen, kind=policy.kind,
-                                       layout=machine.layout)
     return report, frozen, machine
 
 

@@ -29,6 +29,11 @@ Commands
     committed scale).
 ``validate``
     Grade every claim of the figure registry from its own cells.
+``cache``
+    Report, clear or verify the on-disk program-artifact and result
+    caches.
+``serve``
+    Run the HTTP/JSON simulation job server.
 ``area``
     Print the Section 4.4 directory area table.
 ``info``
@@ -246,8 +251,8 @@ def cmd_trace(args) -> int:
 def cmd_analyze(args) -> int:
     import json
 
-    from repro.analyze import (Severity, Transition, advise_program,
-                               analyze_frozen, analyze_workload)
+    from repro.analyze import (Severity, Transition, analyze_frozen,
+                               analyze_workload)
     from repro.errors import ScheduleError
 
     rules = args.rules.split(",") if args.rules else None
@@ -280,8 +285,6 @@ def cmd_analyze(args) -> int:
                 report = analyze_frozen(frozen, kind=policy.kind,
                                         rules=rules, schedule=schedule)
                 report.policy = label
-                if args.advise:
-                    report.advice = advise_program(frozen, kind=policy.kind)
                 reports.append(report)
         else:
             exp = _experiment_from_args(args)
@@ -294,7 +297,7 @@ def cmd_analyze(args) -> int:
                 for label, policy in policies:
                     report, _frozen, _machine = analyze_workload(
                         name, policy=policy, exp=exp, rules=rules,
-                        schedule=schedule, advise=args.advise)
+                        schedule=schedule)
                     report.policy = label
                     reports.append(report)
     except KeyError as err:
@@ -307,12 +310,6 @@ def cmd_analyze(args) -> int:
         print(f"analyze: {err}", file=sys.stderr)
         return 2
 
-    if args.advise_out:
-        document = [r.advice for r in reports if r.advice is not None]
-        out = pathlib.Path(args.advise_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(document, indent=2) + "\n")
-        print(f"advice -> {out}", file=sys.stderr)
     if args.summary:
         _analyze_summary(reports, args.summary)
     if args.json:
@@ -560,6 +557,7 @@ def cmd_info(args) -> int:
 def cmd_validate(args) -> int:
     results = grade_all(Sweeps(_experiment_from_args(args)))
     print(format_scorecard(results))
+    _report_cache_stats("validate")
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -716,10 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--schedule", default=None, metavar="FILE",
                       help="JSON transition schedule for COH010 "
                            "([{phase, action, base, size}, ...])")
-    p_an.add_argument("--advise", action="store_true",
-                      help="emit per-region coherence-mode advice")
-    p_an.add_argument("--advise-out", default=None, metavar="FILE",
-                      help="write the advice documents as JSON")
     p_an.add_argument("--summary", default=None, metavar="FILE",
                       help="append a markdown summary table (for CI)")
     p_an.add_argument("--json", action="store_true",

@@ -125,11 +125,6 @@ class MemorySystem:
         self.swcc_races = 0
         self.max_time = 0.0
 
-        #: Optional :class:`~repro.core.adaptive.RegionProfiler`; when
-        #: installed, every classified request is attributed to a region
-        #: so the adaptive remapper can steer domain decisions.
-        self.profiler = None
-
     # -- wiring ----------------------------------------------------------------
     def attach_clusters(self, clusters: Sequence) -> None:
         """Connect the cluster controllers (called by the machine builder).
@@ -358,8 +353,6 @@ class MemorySystem:
             self.counters.instruction_request += 1
         else:
             self.counters.read_request += 1
-            if self.profiler is not None:
-                self.profiler.note(line, self.profiler.READ, cluster_id)
         if self.obs.active:
             self._emit_msg(now, cluster_id, line,
                            MessageType.INSTRUCTION_REQUEST.value if instruction
@@ -407,8 +400,6 @@ class MemorySystem:
         installs the requester as the modified owner.
         """
         self.counters.write_request += 1
-        if self.profiler is not None:
-            self.profiler.note(line, self.profiler.WRITE, cluster_id)
         if self.obs.active:
             self._emit_msg(now, cluster_id, line,
                            MessageType.WRITE_REQUEST.value)
@@ -438,8 +429,6 @@ class MemorySystem:
     def upgrade_request(self, cluster_id: int, line: int, now: float) -> float:
         """S -> M upgrade for a line the requester already holds clean."""
         self.counters.write_request += 1
-        if self.profiler is not None:
-            self.profiler.note(line, self.profiler.WRITE, cluster_id)
         if self.obs.active:
             self._emit_msg(now, cluster_id, line,
                            MessageType.WRITE_REQUEST.value)
@@ -472,8 +461,6 @@ class MemorySystem:
         """
         if message is MessageType.SOFTWARE_FLUSH:
             self.counters.software_flush += 1
-            if self.profiler is not None:
-                self.profiler.note(line, self.profiler.FLUSH, cluster_id)
         elif message is MessageType.CACHE_EVICTION:
             self.counters.cache_eviction += 1
         else:
@@ -531,8 +518,6 @@ class MemorySystem:
         if self.obs.active:
             self._emit_msg(now, cluster_id, line,
                            MessageType.UNCACHED_ATOMIC.value)
-        if self.profiler is not None:
-            self.profiler.note(line, self.profiler.ATOMIC, cluster_id)
         bank = self._bank(line)
         t = self.net.to_l3(cluster_id, now)
         if self.policy.uses_directory:

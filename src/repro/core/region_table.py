@@ -203,6 +203,3 @@ class FineRegionTable:
     @property
     def override_count(self) -> int:
         return len(self._overrides)
-
-    def overridden_lines(self) -> Iterator[int]:
-        return iter(self._overrides)

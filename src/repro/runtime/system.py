@@ -80,7 +80,3 @@ class Runtime:
             raise AllocationError("globals segment exhausted")
         self._static_ptr = end
         return addr
-
-    @property
-    def static_bytes_used(self) -> int:
-        return self._static_ptr - self.layout.globals_base

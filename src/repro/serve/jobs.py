@@ -19,10 +19,11 @@ The pipeline one submission travels::
 * **Execution** -- the leader runs the cell through the same worker
   entry point as ``run_cells`` (:func:`repro.analysis.parallel._run_cell`)
   on a persistent process pool. A pool crash
-  (:class:`~concurrent.futures.process.BrokenProcessPool`) is retried
-  with exponential backoff on a fresh pool, mirroring ``run_cells``'s
-  broken-pool fallback; a per-attempt timeout fails the job with
-  :class:`JobTimeout` (HTTP 504).
+  (:class:`~concurrent.futures.process.BrokenProcessPool`) discards the
+  pool and retries the cell on a fresh one, with exponential backoff,
+  up to ``retries`` times before the job fails. (``run_cells`` instead
+  finishes a broken sweep serially, in-process.) A per-attempt timeout
+  fails the job with :class:`JobTimeout` (HTTP 504).
 * **Drain** -- :meth:`JobManager.drain` stops admitting (HTTP 503),
   waits up to the grace period for active jobs, then shuts the pool
   down. Cache writes happen before the submitter is answered and are

@@ -1,6 +1,10 @@
 """Exploration: exhaustiveness, determinism, caps, action enumeration."""
 
+import multiprocessing
+import os
+
 from repro.mc import PRESETS, build_machine, enumerate_actions, explore
+from repro.mc import explorer
 from repro.mc.state import SpecState
 
 
@@ -93,6 +97,24 @@ class TestExhaustiveCounts:
         assert (result.states, result.transitions,
                 result.represented_states, result.races) == \
                (4675, 62636, 9300, 1462)
+
+
+def _crashing_expand(payload):
+    """Pool entry point that kills the worker process running it."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    raise AssertionError("the in-process restart must not use the pool")
+
+
+class TestBrokenPool:
+    def test_killed_worker_restarts_in_process(self, monkeypatch, capsys):
+        serial = explore(PRESETS["smoke"], jobs=1)
+        monkeypatch.setattr(explorer, "_expand_chunk", _crashing_expand)
+        result = explore(PRESETS["smoke"], jobs=2)
+        assert "restarting exploration in-process" in capsys.readouterr().err
+        assert result.jobs == 1
+        assert (result.states, result.transitions, result.exhaustive) == \
+               (serial.states, serial.transitions, serial.exhaustive)
 
 
 class TestDirectoryPressure:

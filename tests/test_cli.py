@@ -196,18 +196,6 @@ class TestCommands:
         assert code == 0
         assert "analyze gjk [cohesion]" in out
 
-    def test_analyze_advise_out(self, tmp_path, capsys):
-        import json
-
-        advice_path = tmp_path / "advice.json"
-        code = main(["analyze", "stencil", "--policy", "cohesion",
-                     "--clusters", "1", "--scale", "0.2", "--advise",
-                     "--advise-out", str(advice_path)])
-        assert code == 0
-        [doc] = json.loads(advice_path.read_text())
-        assert doc["schema"] == 2 and doc["program"] == "stencil"
-        assert doc["regions"]
-
     def test_analyze_summary_appended(self, tmp_path, capsys):
         summary = tmp_path / "summary.md"
         code = main(["analyze", "gjk", "--policy", "swcc", "--clusters",
@@ -392,6 +380,25 @@ class TestCacheCommand:
         assert "sweep: cell cache: hits=0 misses=" in err
         self._populate()
         assert "hits=" in capsys.readouterr().err
+
+    def test_warm_validate_reports_all_hits(self, tmp_path, capsys,
+                                            monkeypatch):
+        import re
+
+        from repro.analysis import figures
+        from repro.cache import RESULT_STATS
+
+        monkeypatch.setattr(figures, "FIGURES",
+                            {"fig03": figures.FIGURES["fig03"]})
+        scale = ["--clusters", "1", "--scale", "0.1"]
+        assert main(["figures", "fig03", "--quiet",
+                     "--out", str(tmp_path / "out")] + scale) == 0
+        capsys.readouterr()
+        RESULT_STATS.reset()
+        main(["validate"] + scale)  # claims are graded at the committed scale
+        err = capsys.readouterr().err
+        assert re.search(r"^validate: cell cache: hits=[1-9][0-9]* misses=0 ",
+                         err, re.M), err
 
     def test_verify_clean_then_corrupt(self, tmp_path, capsys):
         self._populate()

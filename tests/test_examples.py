@@ -39,10 +39,3 @@ class TestExamples:
                              timeout=600)
         assert result.returncode == 0, result.stderr
         assert "Slowdown" in result.stdout
-
-    @pytest.mark.slow
-    def test_adaptive_remapping(self):
-        result = run_example("adaptive_remapping.py", timeout=600)
-        assert result.returncode == 0, result.stderr
-        assert "table -> SWCC" in result.stdout
-        assert "table -> HWCC" in result.stdout
