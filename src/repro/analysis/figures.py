@@ -75,8 +75,13 @@ class Sweeps:
 
     Figures that read the same sweep share it: fig02, fig08 and the
     headline read one message breakdown, and the headline reads the
-    Figure 9 sweeps and occupancy, so ``repro figures all`` simulates
-    each cell once even with the result cache off.
+    Figure 9 sweeps and occupancy, so ``repro figures all`` runs each
+    sweep once. Different sweeps still ask for some identical cells
+    (a cold ``figures all --clusters 1 --scale 0.2`` in an empty cache
+    directory reports ``hits=82 misses=214``, the same unbounded
+    Cohesion and HWcc runs requested by several drivers). Only the
+    result cache deduplicates those: with ``REPRO_CACHE=0`` they are
+    simulated once per sweep that asks for them.
     """
 
     def __init__(self, exp: ExperimentConfig, jobs: Optional[int] = None,

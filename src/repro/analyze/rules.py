@@ -100,20 +100,6 @@ def _capped(check):
 
 # -- COH001: missing flushes ----------------------------------------------
 
-def coh001_diagnostic(phase: int, phase_name: str, task: int,
-                      line: int) -> Diagnostic:
-    """The COH001 finding for one (task, line) site."""
-    return Diagnostic(
-        rule="COH001", severity=Severity.ERROR,
-        phase=phase, phase_name=phase_name, task=task, line=line,
-        message=("task stores to SWcc line consumed in a later "
-                 "phase but never flushes it; the consumer can "
-                 "observe the pre-store value"),
-        hint=(f"add line {line:#x} to the task's flush_lines (the "
-              "eager task-end writeback of the Task-Centric "
-              "Memory Model)"))
-
-
 @_capped
 def check_coh001(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
     """A task's stores to SWcc lines stay as per-word dirty data in its
@@ -130,26 +116,19 @@ def check_coh001(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
                 continue
             if not ir.consumed_after(line, s.phase):
                 continue
-            yield coh001_diagnostic(s.phase, ir.phase_name(s.phase),
-                                    s.task, line)
+            yield Diagnostic(
+                rule="COH001", severity=Severity.ERROR,
+                phase=s.phase, phase_name=ir.phase_name(s.phase),
+                task=s.task, line=line,
+                message=("task stores to SWcc line consumed in a later "
+                         "phase but never flushes it; the consumer can "
+                         "observe the pre-store value"),
+                hint=(f"add line {line:#x} to the task's flush_lines (the "
+                      "eager task-end writeback of the Task-Centric "
+                      "Memory Model)"))
 
 
 # -- COH002: missing invalidates ------------------------------------------
-
-def coh002_diagnostic(phase: int, phase_name: str, task: int, line: int,
-                      how: str) -> Diagnostic:
-    """The COH002 finding for one (task, line) site; ``how`` is
-    ``"loads"`` or ``"stores to"``."""
-    return Diagnostic(
-        rule="COH002", severity=Severity.ERROR,
-        phase=phase, phase_name=phase_name, task=task, line=line,
-        message=(f"task {how} phase-variant SWcc line without "
-                 "listing it in input_lines; the cached copy goes "
-                 "stale when a later phase rewrites the line and is "
-                 "then re-read"),
-        hint=(f"add line {line:#x} to the task's input_lines so the "
-              "barrier's lazy invalidation drops the copy"))
-
 
 @_capped
 def check_coh002(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
@@ -169,28 +148,19 @@ def check_coh002(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
             if not ir.stale_window(line, s.phase):
                 continue
             how = "loads" if line in s.loads else "stores to"
-            yield coh002_diagnostic(s.phase, ir.phase_name(s.phase),
-                                    s.task, line, how)
+            yield Diagnostic(
+                rule="COH002", severity=Severity.ERROR,
+                phase=s.phase, phase_name=ir.phase_name(s.phase),
+                task=s.task, line=line,
+                message=(f"task {how} phase-variant SWcc line without "
+                         "listing it in input_lines; the cached copy goes "
+                         "stale when a later phase rewrites the line and is "
+                         "then re-read"),
+                hint=(f"add line {line:#x} to the task's input_lines so the "
+                      "barrier's lazy invalidation drops the copy"))
 
 
 # -- COH003: intra-phase races --------------------------------------------
-
-def coh003_diagnostic(phase: int, phase_name: str, a: int, b: int,
-                      word: int, line: int, kind: str) -> Diagnostic:
-    """The COH003 finding for one conflicting task pair on one word;
-    ``kind`` is ``"store-store"``/``"store-load"``/``"store-atomic"``."""
-    return Diagnostic(
-        rule="COH003", severity=Severity.ERROR,
-        phase=phase, phase_name=phase_name,
-        task=b, line=line,
-        message=(f"intra-phase race: tasks {a} and {b} both "
-                 f"touch word {word * WORD_BYTES:#x} with at "
-                 f"least one "
-                 f"non-atomic store ({kind}); no barrier orders "
-                 "them"),
-        hint=("split the conflicting accesses into separate "
-              "phases, or make the update an atomic"))
-
 
 @_capped
 def check_coh003(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
@@ -235,29 +205,20 @@ def check_coh003(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
                 if key in reported:
                     continue
                 reported.add(key)
-                yield coh003_diagnostic(p, ir.phase_name(p), a, b, word,
-                                        line, kind)
+                yield Diagnostic(
+                    rule="COH003", severity=Severity.ERROR,
+                    phase=p, phase_name=ir.phase_name(p),
+                    task=b, line=line,
+                    message=(f"intra-phase race: tasks {a} and {b} both "
+                             f"touch word {word * WORD_BYTES:#x} with at "
+                             f"least one "
+                             f"non-atomic store ({kind}); no barrier orders "
+                             "them"),
+                    hint=("split the conflicting accesses into separate "
+                          "phases, or make the update an atomic"))
 
 
 # -- COH004: coherence instructions on hardware lines ---------------------
-
-def coh004_diagnostic(phase: int, phase_name: str, task: int, line: int,
-                      what: str, field_: str) -> Diagnostic:
-    """The COH004 finding for one (task, line) site; ``what``/``field_``
-    are ``("flush (WB)", "flush_lines")`` or ``("invalidate (INV)",
-    "input_lines")``."""
-    return Diagnostic(
-        rule="COH004", severity=Severity.WARNING,
-        phase=phase, phase_name=phase_name, task=task, line=line,
-        message=(f"software {what} targets an HWcc-domain "
-                 "line; the directory already keeps it "
-                 "coherent, so the instruction is statically "
-                 "useless work"),
-        hint=(f"drop line {line:#x} from the task's {field_}, "
-              "or move the data to the incoherent heap "
-              "(coh_malloc) if software management is "
-              "intended"))
-
 
 @_capped
 def check_coh004(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
@@ -274,25 +235,21 @@ def check_coh004(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
             for line in sorted(lines):
                 if ctx.domain.is_swcc(line):
                     continue
-                yield coh004_diagnostic(s.phase, ir.phase_name(s.phase),
-                                        s.task, line, what, field_)
+                yield Diagnostic(
+                    rule="COH004", severity=Severity.WARNING,
+                    phase=s.phase, phase_name=ir.phase_name(s.phase),
+                    task=s.task, line=line,
+                    message=(f"software {what} targets an HWcc-domain "
+                             "line; the directory already keeps it "
+                             "coherent, so the instruction is statically "
+                             "useless work"),
+                    hint=(f"drop line {line:#x} from the task's {field_}, "
+                          "or move the data to the incoherent heap "
+                          "(coh_malloc) if software management is "
+                          "intended"))
 
 
 # -- COH005: duplicate coherence instructions -----------------------------
-
-def coh005_diagnostic(phase: int, phase_name: str, task: int, line: int,
-                      count: int, what: str, field_: str) -> Diagnostic:
-    """The COH005 finding for one duplicated (task, line) site;
-    ``what``/``field_`` are ``("flushes", "flush_lines")`` or
-    ``("invalidates", "input_lines")``."""
-    return Diagnostic(
-        rule="COH005", severity=Severity.WARNING,
-        phase=phase, phase_name=phase_name, task=task, line=line,
-        message=(f"task {what} line {count} times; every "
-                 "repeat after the first is a wasted "
-                 "coherence instruction"),
-        hint=f"deduplicate the task's {field_}")
-
 
 @_capped
 def check_coh005(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
@@ -306,27 +263,17 @@ def check_coh005(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
             for line, count in sorted(Counter(issued).items()):
                 if count < 2:
                     continue
-                yield coh005_diagnostic(s.phase, ir.phase_name(s.phase),
-                                        s.task, line, count, what, field_)
+                yield Diagnostic(
+                    rule="COH005", severity=Severity.WARNING,
+                    phase=s.phase, phase_name=ir.phase_name(s.phase),
+                    task=s.task, line=line,
+                    message=(f"task {what} line {count} times; every "
+                             "repeat after the first is a wasted "
+                             "coherence instruction"),
+                    hint=f"deduplicate the task's {field_}")
 
 
 # -- COH006: atomics on software-managed lines ----------------------------
-
-def coh006_diagnostic(phase: int, phase_name: str, task: int,
-                      line: int) -> Diagnostic:
-    """The COH006 finding for one (task, line) site."""
-    return Diagnostic(
-        rule="COH006", severity=Severity.WARNING,
-        phase=phase, phase_name=phase_name, task=task, line=line,
-        message=("uncached atomic targets an SWcc-domain line; "
-                 "the RMW at the L3 cannot see (or invalidate) "
-                 "write-allocated L2 copies, so it may read a "
-                 "stale value and its update can be lost to a "
-                 "later flush or dirty eviction"),
-        hint=(f"allocate line {line:#x}'s data in the coherent "
-              "heap (malloc) or globals, or transition the line "
-              "to HWcc before the atomic phase"))
-
 
 @_capped
 def check_coh006(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
@@ -342,26 +289,21 @@ def check_coh006(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
         for line in sorted(s.atomics):
             if not ctx.domain.is_swcc(line):
                 continue
-            yield coh006_diagnostic(s.phase, ir.phase_name(s.phase),
-                                    s.task, line)
+            yield Diagnostic(
+                rule="COH006", severity=Severity.WARNING,
+                phase=s.phase, phase_name=ir.phase_name(s.phase),
+                task=s.task, line=line,
+                message=("uncached atomic targets an SWcc-domain line; "
+                         "the RMW at the L3 cannot see (or invalidate) "
+                         "write-allocated L2 copies, so it may read a "
+                         "stale value and its update can be lost to a "
+                         "later flush or dirty eviction"),
+                hint=(f"allocate line {line:#x}'s data in the coherent "
+                      "heap (malloc) or globals, or transition the line "
+                      "to HWcc before the atomic phase"))
 
 
 # -- COH007: cross-phase stale-read windows -------------------------------
-
-def coh007_diagnostic(phase: int, phase_name: str, task: int, line: int,
-                      cache_phase: int, write_phase: int) -> Diagnostic:
-    """The COH007 finding for one endangered (reader task, line) site."""
-    return Diagnostic(
-        rule="COH007", severity=Severity.ERROR,
-        phase=phase, phase_name=phase_name, task=task, line=line,
-        message=(f"cached load falls in a stale window: a task of phase "
-                 f"{cache_phase} caches the line without invalidating "
-                 f"and phase {write_phase} republishes it, so the "
-                 "scheduler may place this task on a core still holding "
-                 "the old value"),
-        hint=(f"add line {line:#x} to the input_lines of the phase-"
-              f"{cache_phase} task(s) that cache it"))
-
 
 @_capped
 def check_coh007(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
@@ -398,25 +340,20 @@ def check_coh007(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
             if not window:
                 continue
             write_phase = (window & -window).bit_length() - 1
-            yield coh007_diagnostic(pr, ir.phase_name(pr), s.task, line,
-                                    first_cache, write_phase)
+            yield Diagnostic(
+                rule="COH007", severity=Severity.ERROR,
+                phase=pr, phase_name=ir.phase_name(pr),
+                task=s.task, line=line,
+                message=(f"cached load falls in a stale window: a task of "
+                         f"phase {first_cache} caches the line without "
+                         f"invalidating and phase {write_phase} republishes "
+                         "it, so the scheduler may place this task on a "
+                         "core still holding the old value"),
+                hint=(f"add line {line:#x} to the input_lines of the phase-"
+                      f"{first_cache} task(s) that cache it"))
 
 
 # -- COH008: redundant write-backs ----------------------------------------
-
-def coh008_diagnostic(phase: int, phase_name: str, task: int,
-                      line: int) -> Diagnostic:
-    """The COH008 finding for one (task, line) site."""
-    return Diagnostic(
-        rule="COH008", severity=Severity.WARNING,
-        phase=phase, phase_name=phase_name, task=task, line=line,
-        message=("task writes back an SWcc line it never stores; the WB "
-                 "finds a clean copy or no copy at all, so it is a "
-                 "wasted coherence instruction"),
-        hint=(f"drop line {line:#x} from the task's flush_lines, or "
-              "move the WB to the task that actually produces the "
-              "data"))
-
 
 @_capped
 def check_coh008(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
@@ -427,23 +364,19 @@ def check_coh008(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
                 continue  # COH004's territory: WB of a hardware line
             if line in s.stores:
                 continue
-            yield coh008_diagnostic(s.phase, ir.phase_name(s.phase),
-                                    s.task, line)
+            yield Diagnostic(
+                rule="COH008", severity=Severity.WARNING,
+                phase=s.phase, phase_name=ir.phase_name(s.phase),
+                task=s.task, line=line,
+                message=("task writes back an SWcc line it never stores; "
+                         "the WB finds a clean copy or no copy at all, so it "
+                         "is a wasted coherence instruction"),
+                hint=(f"drop line {line:#x} from the task's flush_lines, or "
+                      "move the WB to the task that actually produces the "
+                      "data"))
 
 
 # -- COH009: useless invalidates ------------------------------------------
-
-def coh009_diagnostic(phase: int, phase_name: str, task: int,
-                      line: int) -> Diagnostic:
-    """The COH009 finding for one (task, line) site."""
-    return Diagnostic(
-        rule="COH009", severity=Severity.WARNING,
-        phase=phase, phase_name=phase_name, task=task, line=line,
-        message=("task invalidates an SWcc line it never loads or "
-                 "stores; its core holds no copy to drop, so the INV is "
-                 "a wasted coherence instruction"),
-        hint=f"drop line {line:#x} from the task's input_lines")
-
 
 @_capped
 def check_coh009(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
@@ -454,27 +387,17 @@ def check_coh009(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
                 continue  # COH004's territory: INV of a hardware line
             if line in s.loads or line in s.stores:
                 continue
-            yield coh009_diagnostic(s.phase, ir.phase_name(s.phase),
-                                    s.task, line)
+            yield Diagnostic(
+                rule="COH009", severity=Severity.WARNING,
+                phase=s.phase, phase_name=ir.phase_name(s.phase),
+                task=s.task, line=line,
+                message=("task invalidates an SWcc line it never loads or "
+                         "stores; its core holds no copy to drop, so the INV "
+                         "is a wasted coherence instruction"),
+                hint=f"drop line {line:#x} from the task's input_lines")
 
 
 # -- COH010: unsafe domain transitions ------------------------------------
-
-def coh010_diagnostic(phase: int, phase_name: str, task: int, line: int,
-                      barrier: int, why: str) -> Diagnostic:
-    """The COH010 finding for one possibly-resident copy at a scheduled
-    transition; ``why`` is ``"unflushed-dirty"`` or ``"partial-valid"``."""
-    return Diagnostic(
-        rule="COH010", severity=Severity.ERROR,
-        phase=phase, phase_name=phase_name, task=task, line=line,
-        message=(f"to_hwcc scheduled at barrier {barrier} is unsafe: "
-                 f"this task may leave a {why} copy of the line "
-                 "resident, and the directory would start tracking the "
-                 "line assuming memory is its owner"),
-        hint=(f"flush and invalidate line {line:#x} (flush_lines + "
-              "input_lines) in every task that stores it before the "
-              "transition, or delay the transition"))
-
 
 @_capped
 def check_coh010(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
@@ -503,8 +426,19 @@ def check_coh010(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
                     why = "partial-valid"
                 else:
                     continue
-                yield coh010_diagnostic(s.phase, ir.phase_name(s.phase),
-                                        s.task, line, tr.phase, why)
+                yield Diagnostic(
+                    rule="COH010", severity=Severity.ERROR,
+                    phase=s.phase, phase_name=ir.phase_name(s.phase),
+                    task=s.task, line=line,
+                    message=(f"to_hwcc scheduled at barrier {tr.phase} is "
+                             f"unsafe: this task may leave a {why} copy of "
+                             "the line resident, and the directory would "
+                             "start tracking the line assuming memory is "
+                             "its owner"),
+                    hint=(f"flush and invalidate line {line:#x} "
+                          "(flush_lines + input_lines) in every task that "
+                          "stores it before the transition, or delay the "
+                          "transition"))
 
 
 ANALYZE_RULES: Dict[str, AnalyzeRule] = {rule.id: rule for rule in (

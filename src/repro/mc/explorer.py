@@ -10,13 +10,15 @@ counterexample action trace.
 
 The loop is level-synchronous: each BFS level's expansions are pure
 functions of (snapshot, action), so they are fanned out in fixed-size
-chunks -- over a process pool when ``jobs > 1`` -- and merged back **in
-submission order**, the same deterministic-merge discipline as
-``repro.analysis.parallel.run_cells``. Serial and parallel runs
-therefore produce bit-identical results; workers only precompute, the
-parent's merge remains the single authority on the visited set, caps,
-and the first violation. A level's frontier is a plain in-memory list,
-sliced into chunks in append order.
+chunks through one :class:`~repro.pool.WorkerPool` -- worker processes
+when ``jobs > 1``, the parent's own expansion state otherwise -- and
+merged back **in submission order**, the same deterministic-merge
+discipline as ``repro.analysis.parallel.run_cells``. Serial and
+parallel runs therefore produce bit-identical results; workers only
+precompute, the parent's merge remains the single authority on the
+visited set, caps, and the first violation. A level's frontier is a
+plain in-memory list, sliced into chunks in append order; one level is
+one unit of the pool's failure rule (see :mod:`repro.pool`).
 
 With ``reduce=True`` the engine additionally applies the two
 reductions of :mod:`repro.mc.reduce`: canonical keys are minimised over
@@ -57,18 +59,17 @@ what the machine is built with:
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.analysis.parallel import resolve_jobs
 from repro.mc.actions import Action, apply_action, guard_enabled
 from repro.mc.invariants import check_state
 from repro.mc.presets import ModelConfig, build_machine
 from repro.mc.reduce import reduction_context
 from repro.mc.state import (SpecState, digest, extract_state,
                             render_signature, semi_key)
+from repro.pool import WorkerPool, resolve_jobs
 
 #: Frontier entries per pool task: large enough to amortise IPC, small
 #: enough to keep the merge window (and worker latency) tight.
@@ -91,7 +92,7 @@ class McResult:
     trace: Optional[List[Action]] = None  # minimal counterexample
     elapsed: float = 0.0
     reduced: bool = False      # symmetry quotient + sleep sets applied
-    jobs: int = 1              # effective worker count
+    jobs: int = 1              # resolved worker count
     represented_states: Optional[int] = None  # sum of orbit sizes
     reduction_factor: Optional[float] = None  # represented / visited
     sleep_pruned: int = 0      # enabled actions skipped by sleep sets
@@ -152,8 +153,10 @@ class _WorkerState:
         self.shipped: set = set()
 
 
-#: Worker-process cache, keyed (model, mutation); lives for the pool's
-#: lifetime, which is one `explore` call.
+#: Worker-process cache, keyed (model, mutation); lives for a pool's
+#: lifetime, at most one `explore` call. The parent never fills it (its
+#: in-process expansions use their own state): forked workers inherit
+#: it, and a stale ``shipped`` set would make them withhold snapshots.
 _WORKER_CACHE: Dict[tuple, _WorkerState] = {}
 
 
@@ -274,8 +277,7 @@ def explore(model: ModelConfig, machine=None,
     ``jobs`` requests pool workers (``None`` -> ``REPRO_JOBS`` -> 1, 0
     -> one per CPU).
     """
-    n_jobs = resolve_jobs(jobs)
-    external_machine = machine is not None
+    n_jobs = resolve_jobs(jobs) if machine is None else 1
     if machine is None:
         machine = build_machine(model)
     if mutation is not None:
@@ -284,7 +286,7 @@ def explore(model: ModelConfig, machine=None,
     cap_states = model.max_states if max_states is None else max_states
     cap_depth = model.max_depth if max_depth is None else max_depth
     result = McResult(preset=model.name, mutation=mutation, reduced=reduce,
-                      jobs=1 if external_machine else n_jobs)
+                      jobs=n_jobs)
     started = time.perf_counter()
 
     spec = SpecState()
@@ -309,17 +311,6 @@ def explore(model: ModelConfig, machine=None,
 
     # Entries are (digest, machine snapshot, spec snapshot, depth).
     frontier: List[tuple] = [(root_digest, root_snap[0], root_snap[1], 0)]
-    pool = None
-    if n_jobs > 1 and not external_machine:
-        try:
-            import concurrent.futures as futures
-            pool = futures.ProcessPoolExecutor(max_workers=n_jobs)
-        except (ImportError, NotImplementedError, OSError,
-                PermissionError) as err:
-            print(f"repro mc: process pool unavailable ({err}); "
-                  "exploring in-process", file=sys.stderr)
-            result.jobs = 1
-            pool = None
 
     def rebuild_trace(digest: bytes) -> List[Action]:
         actions: List[Action] = []
@@ -396,6 +387,10 @@ def explore(model: ModelConfig, machine=None,
                 counters["next_report"] = len(visited) + progress_every
                 progress(len(visited), result.transitions)
 
+    def expand_local(payload: dict) -> List[dict]:
+        return _expand_entries(local, model, payload["entries"], reduce)
+
+    pool = WorkerPool(result.jobs)
     try:
         depth_level = 0
         while frontier:
@@ -403,8 +398,8 @@ def explore(model: ModelConfig, machine=None,
             pending_next: set = set()
             level_size = len(frontier)
 
-            def dispatchable():
-                """Per-chunk payload entries, with refreshed sleep sets
+            def payloads():
+                """Per-chunk payloads, with sleep sets read at dispatch
                 and cap-depth filtering."""
                 for start in range(0, len(frontier), CHUNK):
                     chunk = frontier[start:start + CHUNK]
@@ -420,40 +415,13 @@ def explore(model: ModelConfig, machine=None,
                              tuple(sorted(sleep_store.get(digest, ())))))
                         expanded_ever.add(digest)
                     if ready:
-                        yield ready
-            if pool is None:
-                for chunk in dispatchable():
-                    records = _expand_entries(local, model, chunk, reduce)
-                    merge(chunk, records, next_frontier, pending_next)
-            else:
-                import concurrent.futures as futures
-                from collections import deque as _deque
-                window: _deque = _deque()
-                try:
-                    for chunk in dispatchable():
-                        while len(window) >= n_jobs * 2:
-                            done_chunk, fut = window.popleft()
-                            merge(done_chunk, fut.result(), next_frontier,
-                                  pending_next)
-                        payload = {"model": model, "mutation": mutation,
-                                   "reduce": reduce, "entries": chunk}
-                        window.append((chunk,
-                                       pool.submit(_expand_chunk, payload)))
-                    while window:
-                        done_chunk, fut = window.popleft()
-                        merge(done_chunk, fut.result(), next_frontier,
-                              pending_next)
-                except futures.process.BrokenProcessPool:
-                    # A killed worker loses precomputation only; redo
-                    # the whole run in-process (bit-identical result).
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    print("repro mc: process pool broke; restarting "
-                          "exploration in-process", file=sys.stderr)
-                    return explore(model, mutation=mutation,
-                                   max_states=max_states,
-                                   max_depth=max_depth, progress=progress,
-                                   progress_every=progress_every,
-                                   reduce=reduce, jobs=1)
+                        yield {"model": model, "mutation": mutation,
+                               "reduce": reduce, "entries": ready}
+            for payload, records in pool.map(_expand_chunk, payloads(),
+                                             local=expand_local,
+                                             window=2 * result.jobs):
+                merge(payload["entries"], records, next_frontier,
+                      pending_next)
             frontier = next_frontier
             result.levels.append({
                 "depth": depth_level,
@@ -470,8 +438,7 @@ def explore(model: ModelConfig, machine=None,
         result.violations = violation.violations
         result.trace = violation.trace
     finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+        pool.close()
 
     if reduce:
         result.represented_states = counters["represented"]

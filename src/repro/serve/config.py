@@ -69,13 +69,8 @@ class ServeConfig:
     #: Submissions beyond this are shed with a 429; coalesced duplicates
     #: and cache hits never consume a slot.
     queue_limit: int = 64
-    #: Per-attempt execution timeout in seconds (``REPRO_SERVE_TIMEOUT``).
+    #: Per-job execution timeout in seconds (``REPRO_SERVE_TIMEOUT``).
     timeout_s: float = 300.0
-    #: Retries after a worker-pool crash (``REPRO_SERVE_RETRIES``).
-    retries: int = 2
-    #: Initial retry backoff in seconds, doubled per attempt
-    #: (``REPRO_SERVE_BACKOFF``).
-    backoff_s: float = 0.05
     #: Grace period for in-flight jobs on SIGTERM (``REPRO_SERVE_DRAIN``).
     drain_s: float = 30.0
     #: Request body cap in bytes (``REPRO_SERVE_MAX_BODY``).
@@ -109,8 +104,6 @@ class ServeConfig:
             jobs=_env_int("REPRO_SERVE_JOBS", 0),
             queue_limit=_env_int("REPRO_SERVE_QUEUE", 64, minimum=1),
             timeout_s=_env_float("REPRO_SERVE_TIMEOUT", 300.0),
-            retries=_env_int("REPRO_SERVE_RETRIES", 2),
-            backoff_s=_env_float("REPRO_SERVE_BACKOFF", 0.05),
             drain_s=_env_float("REPRO_SERVE_DRAIN", 30.0),
             max_body=_env_int("REPRO_SERVE_MAX_BODY", DEFAULT_MAX_BODY,
                               minimum=1024),

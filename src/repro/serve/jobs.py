@@ -3,7 +3,7 @@
 The pipeline one submission travels::
 
     submit -> cache probe -> single-flight -> admission -> pool -> cache put
-      |hit: answer <10ms |join in-flight    |full: shed  |timeout/retry
+      |hit: answer <10ms |join in-flight    |full: shed  |timeout
 
 * **Cache probe** -- the content-addressed result cache
   (:class:`~repro.cache.results.ResultCache`) is consulted first; a warm
@@ -18,12 +18,12 @@ The pipeline one submission travels::
   :class:`Overloaded` (HTTP 429) instead of building unbounded backlog.
 * **Execution** -- the leader runs the cell through the same worker
   entry point as ``run_cells`` (:func:`repro.analysis.parallel._run_cell`)
-  on a persistent process pool. A pool crash
-  (:class:`~concurrent.futures.process.BrokenProcessPool`) discards the
-  pool and retries the cell on a fresh one, with exponential backoff,
-  up to ``retries`` times before the job fails. (``run_cells`` instead
-  finishes a broken sweep serially, in-process.) A per-attempt timeout
-  fails the job with :class:`JobTimeout` (HTTP 504).
+  on the server's one :class:`~repro.pool.WorkerPool`, shared by every
+  job. Each job is one unit of the pool's failure rule (see
+  :mod:`repro.pool`): a crashed worker costs a rebuilt pool or an
+  in-process run, never the answer. A simulation error fails the job
+  with :class:`JobFailed` (HTTP 500); the per-job timeout fails it with
+  :class:`JobTimeout` (HTTP 504).
 * **Drain** -- :meth:`JobManager.drain` stops admitting (HTTP 503),
   waits up to the grace period for active jobs, then shuts the pool
   down. Cache writes happen before the submitter is answered and are
@@ -34,17 +34,17 @@ The pipeline one submission travels::
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.parallel import Cell, _run_cell, resolve_jobs
+from repro.analysis.parallel import Cell, _run_cell
 from repro.errors import ReproError
+from repro.pool import WorkerPool, resolve_jobs
 from repro.serve.config import ServeConfig
 from repro.serve.metrics import (SV_COALESCED, SV_DRAIN, SV_EXEC, SV_FAIL,
-                                 SV_HIT, SV_RETRY, SV_SHED, SV_SUBMIT,
-                                 SV_TIMEOUT, ServeMetrics)
+                                 SV_HIT, SV_SHED, SV_SUBMIT, SV_TIMEOUT,
+                                 ServeMetrics)
 from repro.serve.singleflight import SingleFlight
 
 
@@ -71,70 +71,17 @@ class Draining(ServeError):
 
 
 class JobTimeout(ServeError):
-    """The job exceeded the per-attempt execution timeout."""
+    """The job exceeded the per-job execution timeout."""
 
     status = 504
     wire_status = "timeout"
 
 
 class JobFailed(ServeError):
-    """The simulation raised, or the worker pool broke repeatedly."""
+    """The simulation raised."""
 
     status = 500
     wire_status = "failed"
-
-
-class PoolBroken(Exception):
-    """Internal: the process pool died under a job (retryable)."""
-
-
-class PoolRunner:
-    """Persistent worker pool executing cells off the event loop.
-
-    Prefers a :class:`~concurrent.futures.ProcessPoolExecutor` sized by
-    ``jobs`` (0 = one per CPU); where process pools cannot start
-    (no fork/semaphores) it degrades to a single-worker thread pool --
-    the GIL serialises simulation there, but the service keeps working.
-    """
-
-    def __init__(self, jobs: int = 0) -> None:
-        self.jobs = resolve_jobs(jobs)
-        self.mode: Optional[str] = None  # "process" | "thread"
-        self._pool = None
-
-    def _ensure(self):
-        if self._pool is not None:
-            return self._pool
-        try:
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.jobs)
-            self.mode = "process"
-        except (ImportError, NotImplementedError, OSError,
-                PermissionError):
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-serve")
-            self.mode = "thread"
-        return self._pool
-
-    async def run(self, cell: Cell):
-        """Execute one cell; raises :class:`PoolBroken` on pool death."""
-        pool = self._ensure()
-        loop = asyncio.get_running_loop()
-        try:
-            return await loop.run_in_executor(pool, _run_cell, cell)
-        except concurrent.futures.process.BrokenProcessPool as err:
-            raise PoolBroken(str(err) or "broken process pool") from err
-
-    def reset(self) -> None:
-        """Discard a (broken) pool; the next run builds a fresh one."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass
@@ -156,7 +103,8 @@ class JobManager:
         from repro.cache.results import ResultCache
 
         self.config = config
-        self.runner = runner if runner is not None else PoolRunner(config.jobs)
+        self.runner = (runner if runner is not None
+                       else WorkerPool(resolve_jobs(config.jobs)))
         if cache is not None:
             self.cache = cache or None      # cache=False -> disabled
         else:
@@ -225,48 +173,30 @@ class JobManager:
         self.metrics.active += 1
         self._idle.clear()
         try:
-            return await self._run_with_retry(cell)
+            return await self._run(cell)
         finally:
             self.metrics.active -= 1
             if self.metrics.active == 0:
                 self._idle.set()
 
-    async def _run_with_retry(self, cell: Cell):
-        delay = self.config.backoff_s
-        last_break = "broken pool"
-        for attempt in range(self.config.retries + 1):
-            self.metrics.running += 1
-            try:
-                return await asyncio.wait_for(self.runner.run(cell),
-                                              self.config.timeout_s)
-            except asyncio.TimeoutError:
-                self.metrics.count("timeouts", SV_TIMEOUT,
-                                   detail=cell.label)
-                raise JobTimeout(
-                    f"cell {cell.label!r} exceeded "
-                    f"{self.config.timeout_s:g}s (the worker process may "
-                    f"still be finishing; its result is discarded)") from None
-            except PoolBroken as err:
-                last_break = str(err)
-                self.runner.reset()
-                self.metrics.count("retries", SV_RETRY, detail=cell.label)
-                await asyncio.sleep(delay)
-                delay *= 2
-            except ServeError:
-                raise
-            except Exception as err:
-                # A deterministic simulation error will not heal on
-                # retry; fail fast with the original message.
-                self.metrics.count("failed", SV_FAIL, detail=str(err))
-                raise JobFailed(
-                    f"cell {cell.label!r} failed: "
-                    f"{type(err).__name__}: {err}") from err
-            finally:
-                self.metrics.running -= 1
-        self.metrics.count("failed", SV_FAIL, detail=last_break)
-        raise JobFailed(
-            f"worker pool broke {self.config.retries + 1} time(s) running "
-            f"cell {cell.label!r}; last: {last_break}")
+    async def _run(self, cell: Cell):
+        self.metrics.running += 1
+        try:
+            return await asyncio.wait_for(self.runner.run(_run_cell, cell),
+                                          self.config.timeout_s)
+        except asyncio.TimeoutError:
+            self.metrics.count("timeouts", SV_TIMEOUT, detail=cell.label)
+            raise JobTimeout(
+                f"cell {cell.label!r} exceeded "
+                f"{self.config.timeout_s:g}s (the worker process may "
+                f"still be finishing; its result is discarded)") from None
+        except Exception as err:
+            self.metrics.count("failed", SV_FAIL, detail=str(err))
+            raise JobFailed(
+                f"cell {cell.label!r} failed: "
+                f"{type(err).__name__}: {err}") from err
+        finally:
+            self.metrics.running -= 1
 
     # -- shutdown ----------------------------------------------------------
     async def drain(self, timeout_s: Optional[float] = None) -> bool:

@@ -24,15 +24,14 @@ SV_SUBMIT = "serve_submit"        # a cell submission was accepted for triage
 SV_HIT = "serve_hit"              # answered from the warm result cache
 SV_COALESCED = "serve_coalesced"  # joined an identical in-flight job
 SV_EXEC = "serve_exec"            # a leader finished a real execution
-SV_RETRY = "serve_retry"          # worker pool broke; job re-dispatched
 SV_SHED = "serve_shed"            # admission queue full; job rejected
 SV_TIMEOUT = "serve_timeout"      # per-job timeout elapsed
 SV_FAIL = "serve_fail"            # job raised (simulation/worker error)
 SV_DRAIN = "serve_drain"          # drain started (SIGTERM / stop)
 
 ALL_SERVE_KINDS: Tuple[str, ...] = (
-    SV_SUBMIT, SV_HIT, SV_COALESCED, SV_EXEC, SV_RETRY, SV_SHED,
-    SV_TIMEOUT, SV_FAIL, SV_DRAIN)
+    SV_SUBMIT, SV_HIT, SV_COALESCED, SV_EXEC, SV_SHED, SV_TIMEOUT,
+    SV_FAIL, SV_DRAIN)
 
 #: Upper bucket bounds of the latency histogram, in milliseconds. The
 #: first buckets are tight because warm hits are specified in single
@@ -83,7 +82,7 @@ class ServeMetrics:
         self.started_at = time.time()
         self.counters: Dict[str, int] = {
             "submitted": 0, "hits": 0, "coalesced": 0, "executed": 0,
-            "failed": 0, "timeouts": 0, "retries": 0, "shed": 0,
+            "failed": 0, "timeouts": 0, "shed": 0,
             "drained": 0, "cache_stores": 0, "cache_store_failures": 0,
         }
         # Gauges: jobs admitted but unfinished, and the subset actually

@@ -217,10 +217,7 @@ class ReproServer:
         doc = {"schema": WIRE_SCHEMA, "serve": self.jobs.metrics.as_dict()}
         doc["serve"]["draining"] = self.jobs.draining
         doc["serve"]["singleflight_inflight"] = len(self.jobs.flights)
-        doc["serve"]["pool"] = {
-            "mode": getattr(self.jobs.runner, "mode", None),
-            "jobs": getattr(self.jobs.runner, "jobs", None),
-        }
+        doc["serve"]["pool"] = self.jobs.runner.as_dict()
         doc["cache"] = {"results": RESULT_STATS.as_dict(),
                         "programs": PROGRAM_STATS.as_dict()}
         return doc

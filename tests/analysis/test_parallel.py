@@ -9,10 +9,10 @@ from repro.analysis.experiments import (ExperimentConfig,
                                         run_performance,
                                         run_stack_only_ablation,
                                         run_useful_coherence_ops)
-from repro.analysis.parallel import (Cell, CellSweep, parse_jobs,
-                                     resolve_jobs, run_cells,
+from repro.analysis.parallel import (Cell, CellSweep, run_cells,
                                      stderr_progress)
 from repro.errors import SimulationError
+from repro.pool import parse_jobs, resolve_jobs
 
 TINY = ExperimentConfig(n_clusters=2, scale=0.12)
 KERNELS = ("gjk", "mri")
@@ -142,8 +142,9 @@ def _carry_worker(cell):
     a marker that the *parent* drops once it has retrieved ``good``'s
     result (the progress callback fires after retrieval), then
     hard-kills its worker process -- breaking the pool strictly after
-    ``good``'s completion was observed. Run in the parent instead (the
-    serial fallback), ``poison`` computes normally.
+    ``good``'s completion was observed, and breaking the rebuilt pool
+    again. Run in the parent instead (the in-process fallback),
+    ``poison`` computes normally.
     """
     import multiprocessing
     import os
@@ -166,9 +167,10 @@ def _carry_worker(cell):
 
 
 class TestBrokenPoolCarry:
-    """Regression: the serial fallback after a mid-run pool crash used
-    to discard every already-completed future and restart from zero --
-    re-simulating finished cells and double-emitting their progress."""
+    """A mid-run pool crash keeps every already-completed result: the
+    pool is rebuilt once for the unfinished cell, which breaks it again
+    and finishes in-process -- no finished cell is re-simulated and no
+    progress is double-emitted."""
 
     def _cells(self, tmp_path):
         return [Cell.make("gjk", _swcc(), TINY, label=label,
@@ -193,9 +195,11 @@ class TestBrokenPoolCarry:
         assert results == ["good-result", "poison-serial"]
         executions = list(tmp_path.glob("exec-*"))
         assert len(executions) == 1, "completed cell was re-run"
-        err = capsys.readouterr().err
-        assert "falling back to serial execution" in err
-        assert "1 completed cell(s) carried over" in err
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if "worker pool broke" in line]
+        assert len(lines) == 2, lines
+        assert lines[0].endswith("rebuilding it")
+        assert lines[1].endswith("finishing in-process")
 
     def test_progress_resumes_not_restarts(self, tmp_path):
         _results, seen = self._run(tmp_path)
@@ -211,6 +215,28 @@ class TestBrokenPoolCarry:
         results = run_cells(self._cells(tmp_path), jobs=2,
                             worker=_carry_worker, cache=False)
         assert results == ["good-result", "poison-serial"]
+
+
+def _label_worker(cell):
+    return cell.label
+
+
+class TestNoPool:
+    def test_unbuildable_pool_runs_in_process(self, monkeypatch, capsys):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise OSError("no semaphores")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            refuse)
+        cells = [Cell.make("gjk", _swcc(), TINY, label=f"c{i}")
+                 for i in range(3)]
+        assert run_cells(cells, jobs=2, worker=_label_worker,
+                         cache=False) == ["c0", "c1", "c2"]
+        err = capsys.readouterr().err
+        assert ("worker pool unavailable (no semaphores); running "
+                "in-process") in err
 
 
 class TestCellSweep:

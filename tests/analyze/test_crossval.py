@@ -14,7 +14,8 @@ import random
 import pytest
 
 from repro import Policy
-from repro.analyze import analyze_frozen, run_with_oracles, watched_lines
+from repro.analyze import (Diagnostic, Severity, analyze_frozen,
+                           run_with_oracles, watched_lines)
 from repro.mem.address import line_of
 from repro.runtime.program import Phase, Program, Task
 from repro.types import OP_ATOMIC, OP_COMPUTE, OP_LOAD, OP_STORE, PolicyKind
@@ -153,8 +154,9 @@ class TestTruePositives:
         machine, addr, line = swcc_setup(value=5)
         prog = program(phase("w", task([(OP_STORE, addr, 7)],
                                        flushes=[line])))
-        from repro.analyze.rules import coh010_diagnostic
-        diag = coh010_diagnostic(0, "w", 0, line, 0, "partial-valid")
+        diag = Diagnostic(rule="COH010", severity=Severity.ERROR,
+                          message="to_hwcc scheduled at barrier 0 is unsafe",
+                          phase=0, phase_name="w", task=0, line=line)
         run = run_with_oracles(machine, prog, watch=[line])
         assert not run.confirms(diag)
 

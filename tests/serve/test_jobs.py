@@ -1,20 +1,24 @@
-"""JobManager: coalescing, admission, timeout/retry, drain -- no HTTP.
+"""JobManager: coalescing, admission, timeout, failure, drain -- no HTTP.
 
 A fake runner stands in for the process pool so each path is exercised
-deterministically (and fast); tests/serve/test_server.py runs the real
-pool end to end.
+deterministically (and fast); TestRealPool and tests/serve/test_server.py
+run the real pool.
 """
 
 import asyncio
+import multiprocessing
+import os
 
 import pytest
 
 from repro import Policy
-from repro.analysis.parallel import Cell
+from repro.analysis.parallel import Cell, _run_cell
 from repro.cache import ResultCache
+from repro.pool import WorkerPool
+from repro.serve import jobs as serve_jobs
 from repro.serve.config import ServeConfig
 from repro.serve.jobs import (Draining, JobFailed, JobManager, JobTimeout,
-                              Overloaded, PoolBroken)
+                              Overloaded)
 
 from tests.serve.conftest import run
 
@@ -27,42 +31,32 @@ def _cell(label="gjk", **extra):
 
 
 def _config(**overrides):
-    base = dict(port=0, jobs=1, queue_limit=64, timeout_s=5.0,
-                retries=2, backoff_s=0.001, drain_s=5.0)
+    base = dict(port=0, jobs=1, queue_limit=64, timeout_s=5.0, drain_s=5.0)
     base.update(overrides)
     return ServeConfig(**base)
 
 
 class FakeRunner:
-    """Scriptable PoolRunner stand-in: counts runs, optionally blocks,
-    breaks, or raises."""
+    """Scriptable WorkerPool stand-in: counts runs, optionally blocks or
+    raises."""
 
-    def __init__(self, result="stats", delay_s=0.0, breaks=0,
-                 raises=None) -> None:
+    def __init__(self, result="stats", delay_s=0.0, raises=None) -> None:
         self.result = result
         self.delay_s = delay_s
-        self.breaks = breaks      # raise PoolBroken this many times
         self.raises = raises
         self.runs = 0
-        self.resets = 0
         self.closed = False
         self.release = asyncio.Event()
         self.release.set()
 
-    async def run(self, cell):
+    async def run(self, fn, cell):
         self.runs += 1
-        if self.breaks > 0:
-            self.breaks -= 1
-            raise PoolBroken("fake pool death")
         if self.raises is not None:
             raise self.raises
         await self.release.wait()
         if self.delay_s:
             await asyncio.sleep(self.delay_s)
         return self.result
-
-    def reset(self):
-        self.resets += 1
 
     def close(self):
         self.closed = True
@@ -190,37 +184,44 @@ class TestTimeoutsAndRetries:
             run(jobs.submit(_cell()))
         assert jobs.metrics.counters["timeouts"] == 1
 
-    def test_pool_break_retries_then_succeeds(self):
-        runner = FakeRunner(breaks=2)
-        jobs = _manager(runner=runner, retries=2)
-        outcome = run(jobs.submit(_cell()))
-        assert outcome.status == "executed"
-        assert runner.runs == 3 and runner.resets == 2
-        assert jobs.metrics.counters["retries"] == 2
-        assert jobs.metrics.counters["failed"] == 0
-
-    def test_pool_break_exhausts_retries(self):
-        runner = FakeRunner(breaks=99)
-        jobs = _manager(runner=runner, retries=1)
-        with pytest.raises(JobFailed, match="broke 2 time"):
-            run(jobs.submit(_cell()))
-        assert runner.runs == 2
-        assert jobs.metrics.counters["failed"] == 1
-
     def test_simulation_error_fails_fast_without_retry(self):
         runner = FakeRunner(raises=ValueError("bad kernel"))
-        jobs = _manager(runner=runner, retries=5)
+        jobs = _manager(runner=runner)
         with pytest.raises(JobFailed, match="bad kernel"):
             run(jobs.submit(_cell()))
         assert runner.runs == 1, "deterministic failure was retried"
 
     def test_failed_flight_does_not_poison_the_next(self):
-        runner = FakeRunner(breaks=99)
-        jobs = _manager(runner=runner, retries=0)
+        runner = FakeRunner(raises=ValueError("bad kernel"))
+        jobs = _manager(runner=runner)
         with pytest.raises(JobFailed):
             run(jobs.submit(_cell()))
-        runner.breaks = 0
+        runner.raises = None
         assert run(jobs.submit(_cell())).status == "executed"
+
+
+def _die_in_worker(cell):
+    """Serve's worker entry point, killing every worker process it runs
+    in; in the parent (the pool's in-process fallback) it simulates."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return _run_cell(cell)
+
+
+class TestRealPool:
+    def test_killed_workers_still_answer(self, monkeypatch, capsys):
+        monkeypatch.setattr(serve_jobs, "_run_cell", _die_in_worker)
+        pool = WorkerPool(2)
+        jobs = _manager(runner=pool, cache=False, timeout_s=60.0)
+        try:
+            outcome = run(jobs.submit(_cell()))
+        finally:
+            pool.close()
+        assert outcome.status == "executed"
+        assert outcome.stats == _run_cell(_cell())
+        assert pool.as_dict() == {"jobs": 2, "rebuilds": 1, "in_process": 1}
+        err = capsys.readouterr().err
+        assert "rebuilding it" in err and "finishing in-process" in err
 
 
 class TestDrain:

@@ -19,8 +19,7 @@ TINY = {"workload": "gjk", "clusters": 2, "scale": 0.12}
 
 
 def _config(**overrides):
-    base = dict(port=0, jobs=2, queue_limit=8, timeout_s=60.0,
-                retries=1, backoff_s=0.01, drain_s=10.0)
+    base = dict(port=0, jobs=2, queue_limit=8, timeout_s=60.0, drain_s=10.0)
     base.update(overrides)
     return ServeConfig(**base)
 
@@ -142,13 +141,13 @@ class TestSubmission:
         assert serve["counters"]["submitted"] >= 1
         assert {"active", "running", "queued"} <= set(serve["queue"])
         assert serve["latency"]["hit"]["buckets_ms"][-1] == "inf"
-        assert serve["pool"]["mode"] in ("process", "thread")
+        assert serve["pool"] == {"jobs": 2, "rebuilds": 0, "in_process": 0}
         assert "results" in doc["cache"]
 
 
 class TestFailureMapping:
     def test_timeout_maps_to_504(self, cache_dir, server_thread):
-        with server_thread(_config(timeout_s=0.005, retries=0)) as handle:
+        with server_thread(_config(timeout_s=0.005)) as handle:
             status, record = handle.client().submit_cell(TINY)
             assert status == 504 and record["status"] == "timeout"
             assert "exceeded" in record["error"]
