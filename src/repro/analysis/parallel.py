@@ -131,13 +131,13 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
     with WorkerPool(n_jobs) as pool:
         outputs = pool.map(worker, [cells[i] for i in pending])
         for index in pending:
-            cell = cells[index]
             try:
-                _cell, results[index] = next(outputs)
+                cell, results[index] = next(outputs)
             except Exception:
                 # Surface the cell's original exception; name the cell
                 # so a failing sweep is attributable.
-                print(f"repro: cell {cell.label!r} failed", file=sys.stderr)
+                print(f"repro: cell {cells[index].label!r} failed",
+                      file=sys.stderr)
                 raise
             if rcache is not None:
                 rcache.put(cell, results[index])

@@ -92,7 +92,7 @@ class McResult:
     trace: Optional[List[Action]] = None  # minimal counterexample
     elapsed: float = 0.0
     reduced: bool = False      # symmetry quotient + sleep sets applied
-    jobs: int = 1              # resolved worker count
+    jobs: int = 1              # effective worker count
     represented_states: Optional[int] = None  # sum of orbit sizes
     reduction_factor: Optional[float] = None  # represented / visited
     sleep_pruned: int = 0      # enabled actions skipped by sleep sets
@@ -439,6 +439,8 @@ def explore(model: ModelConfig, machine=None,
         result.trace = violation.trace
     finally:
         pool.close()
+    if pool.unavailable:
+        result.jobs = 1
 
     if reduce:
         result.represented_states = counters["represented"]

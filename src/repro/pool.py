@@ -7,10 +7,14 @@ serve``'s jobs (:class:`repro.serve.jobs.JobManager`) all run on a
 the same result in any worker or in the parent, and one rule fits all:
 
 * A pool that breaks under a *unit* of work (one ``run_cells`` batch,
-  one BFS level, one serve job) is rebuilt once, and only the unit's
-  unfinished items are resubmitted; finished results are kept.
-* When no pool can be built, or the rebuilt pool breaks too, the rest
-  of the unit runs in-process.
+  one BFS level, one serve job) is rebuilt once. Only the unit's items
+  that were on the broken pool and had not finished are resubmitted,
+  in their original order; finished results are kept.
+* When no pool can be built, the unit runs in-process. When the
+  rebuilt pool breaks too, a batch (:meth:`WorkerPool.map`) finishes
+  in-process, but a served item (:meth:`WorkerPool.run`) fails: a
+  break its own item causes would recur in-process, inside a
+  long-lived server.
 * The next unit starts on a fresh pool, so a long-lived server never
   degrades for good.
 
@@ -45,15 +49,13 @@ def parse_jobs(raw: str, source: str = "REPRO_JOBS") -> int:
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Resolve an effective worker count (see module docstring)."""
-    if jobs is not None:
-        if jobs < 0:
-            raise SimulationError(
-                f"jobs must be >= 0 (0 = one worker per CPU); got {jobs}")
-        return jobs or (os.cpu_count() or 1)
-    raw = os.environ.get("REPRO_JOBS")
-    if raw is None:
-        return 1
-    return parse_jobs(raw)
+    if jobs is None:
+        raw = os.environ.get("REPRO_JOBS")
+        return 1 if raw is None else parse_jobs(raw)
+    if jobs < 0:
+        raise SimulationError(
+            f"jobs must be >= 0 (0 = one worker per CPU); got {jobs}")
+    return jobs or (os.cpu_count() or 1)
 
 
 class WorkerPool:
@@ -65,8 +67,8 @@ class WorkerPool:
         self.jobs = jobs
         self.builds = 0        # process pools built
         self.in_process = 0    # items run in-process after a pool failure
+        self.unavailable = False   # no process pool could be built
         self._executor = None
-        self._unavailable = False
         # In-process items run one at a time, even when serve awaits
         # several of them from helper threads.
         self._lock = threading.Lock()
@@ -110,35 +112,35 @@ class WorkerPool:
 
         def place(entry: list) -> None:
             while True:
-                executor = self._pool(broken)
-                entry[1:] = [executor, None]
-                if executor is None:
-                    return
+                executor = entry[1] = self._pool(broken)
                 try:
-                    entry[2] = executor.submit(fn, entry[0])
+                    entry[2] = (None if executor is None
+                                else executor.submit(fn, entry[0]))
                     return
                 except BrokenProcessPool as err:
-                    self._broke(broken, executor, err)
+                    replace(executor, err)
+
+        def replace(dead, err: Exception) -> None:
+            """Move the broken pool's unfinished items on, in order."""
+            self._broke(broken, dead, err, "finishing in-process")
+            for other in inflight:
+                if other[1] is dead and (
+                        not other[2].done() or isinstance(
+                            other[2].exception(), BrokenProcessPool)):
+                    place(other)
 
         def settle() -> Tuple[object, object]:
             entry = inflight[0]
             while entry[2] is not None:
                 try:
                     value = entry[2].result()
+                    break
                 except BrokenProcessPool as err:
-                    self._broke(broken, entry[1], err)
-                    for other in inflight:  # resubmit what died with it
-                        future = other[2]
-                        if future is not None and (
-                                not future.done()
-                                or isinstance(future.exception(),
-                                              BrokenProcessPool)):
-                            place(other)
-                else:
-                    inflight.popleft()
-                    return entry[0], value
+                    replace(entry[1], err)
+            else:
+                value = self._local(local, entry[0])
             inflight.popleft()
-            return entry[0], self._local(local, entry[0])
+            return entry[0], value
 
         for item in items:
             while window is not None and len(inflight) >= window:
@@ -150,37 +152,34 @@ class WorkerPool:
             yield settle()
 
     async def run(self, fn: Callable, item: object) -> object:
-        """Compute one item as one unit, awaited from an event loop.
-
-        The item runs in a worker process even at ``jobs=1``, and the
-        in-process fallback runs on a helper thread, so the loop's own
-        thread never computes or blocks.
-        """
+        """Compute one item as one unit, awaited from an event loop: in a
+        worker process even at ``jobs=1``, and in-process (on a helper
+        thread, never the loop's) only when no pool can be built."""
         import asyncio
         from concurrent.futures.process import BrokenProcessPool
 
         broken: set = set()
-        executor = self._pool(broken)
-        while executor is not None:
+        while (executor := self._pool(broken)) is not None:
             try:
                 return await asyncio.wrap_future(executor.submit(fn, item))
             except BrokenProcessPool as err:
-                self._broke(broken, executor, err)
-            executor = self._pool(broken)
+                self._broke(broken, executor, err, "failing the item")
+                if len(broken) > 1:
+                    raise
         return await asyncio.get_running_loop().run_in_executor(
             None, self._local, fn, item)
 
     def _pool(self, broken: set):
         """The process pool for a unit that saw ``broken`` pools break,
         or None when the unit must go on in-process."""
-        if len(broken) > 1 or self._unavailable:
+        if len(broken) > 1 or self.unavailable:
             return None
         if self._executor is None:
             try:
                 from concurrent.futures import ProcessPoolExecutor
                 self._executor = ProcessPoolExecutor(max_workers=self.jobs)
             except (NotImplementedError, OSError) as err:
-                self._unavailable = True
+                self.unavailable = True
                 print(f"repro: worker pool unavailable "
                       f"({err or type(err).__name__}); running in-process",
                       file=sys.stderr, flush=True)
@@ -188,9 +187,10 @@ class WorkerPool:
             self.builds += 1
         return self._executor
 
-    def _broke(self, broken: set, executor, err: Exception) -> None:
-        """Note that ``executor`` broke under a unit. Only the pool that
-        broke is discarded: units sharing it see one break, one rebuild."""
+    def _broke(self, broken: set, executor, err: Exception,
+               second: str) -> None:
+        """Note a break (``second`` names what a second one means). Only
+        the pool that broke is discarded: units sharing it rebuild once."""
         broken.add(executor)
         if executor is not self._executor:
             return
@@ -198,7 +198,7 @@ class WorkerPool:
         # The break fails every pending future by itself; cancelling
         # them as well could cancel a serve job awaiting one.
         executor.shutdown(wait=False)
-        then = "rebuilding it" if len(broken) == 1 else "finishing in-process"
+        then = "rebuilding it" if len(broken) == 1 else second
         print(f"repro: worker pool broke ({err or 'a worker died'}); {then}",
               file=sys.stderr, flush=True)
 
@@ -206,4 +206,3 @@ class WorkerPool:
         with self._lock:
             self.in_process += 1
             return fn(item)
-

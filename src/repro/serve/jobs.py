@@ -20,10 +20,11 @@ The pipeline one submission travels::
   entry point as ``run_cells`` (:func:`repro.analysis.parallel._run_cell`)
   on the server's one :class:`~repro.pool.WorkerPool`, shared by every
   job. Each job is one unit of the pool's failure rule (see
-  :mod:`repro.pool`): a crashed worker costs a rebuilt pool or an
-  in-process run, never the answer. A simulation error fails the job
-  with :class:`JobFailed` (HTTP 500); the per-job timeout fails it with
-  :class:`JobTimeout` (HTTP 504).
+  :mod:`repro.pool`): a crashed worker costs one rebuilt pool, and a
+  job whose rebuilt pool breaks too fails with :class:`JobFailed`
+  (HTTP 500) rather than run inside the server. A simulation error
+  fails the job with :class:`JobFailed` too; the per-job timeout fails
+  it with :class:`JobTimeout` (HTTP 504).
 * **Drain** -- :meth:`JobManager.drain` stops admitting (HTTP 503),
   waits up to the grace period for active jobs, then shuts the pool
   down. Cache writes happen before the submitter is answered and are

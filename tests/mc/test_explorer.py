@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import time
 
 from repro.mc import PRESETS, build_machine, enumerate_actions, explore
 from repro.mc import explorer
@@ -122,6 +123,53 @@ class TestBrokenPool:
         assert (result.states, result.transitions, result.exhaustive) == \
                (serial.states, serial.transitions, serial.exhaustive)
         assert _comparable(result) == _comparable(serial)
+
+    def test_one_worker_dying_mid_level_matches_serial(self, tmp_path,
+                                                        monkeypatch, capsys):
+        # While the parent merges the first chunk of an eight-chunk
+        # level, it arms the crasher and waits: the next worker to finish
+        # a chunk dies instead of answering, once, so the parent meets
+        # the broken pool when it submits its next chunk, with older
+        # chunks unfinished. The rebuilt pool must take those first and
+        # in their order, so no worker withholds a snapshot the merge
+        # has not seen yet.
+        serial = explore(PRESETS["direvict"], reduce=True, max_states=1500,
+                         jobs=1)
+        monkeypatch.setenv("REPRO_TEST_DIE_DIR", str(tmp_path))
+        monkeypatch.setattr(explorer, "_expand_chunk", _die_once_when_armed)
+        armed = tmp_path / "armed"
+
+        def arm(states, _transitions):
+            if states >= 920 and not armed.exists():
+                armed.write_text("1")
+                time.sleep(0.5)
+
+        result = explore(PRESETS["direvict"], reduce=True, max_states=1500,
+                         jobs=2, progress=arm, progress_every=50)
+        err = capsys.readouterr().err
+        assert (tmp_path / "died").exists()
+        assert err.count("rebuilding it") == 1
+        assert "finishing in-process" not in err
+        assert result.jobs == 2
+        assert _comparable(result) == _comparable(serial)
+
+
+def _die_once_when_armed(payload):
+    """Pool entry point: the first worker process to finish a chunk
+    after the parent drops the ``armed`` marker dies instead of
+    answering; every other call expands normally."""
+    records = _REAL_EXPAND(payload)
+    base = os.environ["REPRO_TEST_DIE_DIR"]
+    if (multiprocessing.parent_process() is not None
+            and os.path.exists(os.path.join(base, "armed"))):
+        try:
+            os.close(os.open(os.path.join(base, "died"),
+                             os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            pass
+        else:
+            os._exit(1)
+    return records
 
 
 def _comparable(result):

@@ -202,26 +202,68 @@ class TestTimeoutsAndRetries:
 
 def _die_in_worker(cell):
     """Serve's worker entry point, killing every worker process it runs
-    in; in the parent (the pool's in-process fallback) it simulates."""
+    in; in the parent it simulates."""
     if multiprocessing.parent_process() is not None:
         os._exit(1)
     return _run_cell(cell)
 
 
+def _die_once_in_worker(cell):
+    """Like :func:`_die_in_worker`, but only the first worker process
+    to run it dies."""
+    marker = os.path.join(os.environ["REPRO_TEST_DIE_DIR"], "died")
+    if multiprocessing.parent_process() is not None:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            pass
+        else:
+            os._exit(1)
+    return _run_cell(cell)
+
+
 class TestRealPool:
-    def test_killed_workers_still_answer(self, monkeypatch, capsys):
-        monkeypatch.setattr(serve_jobs, "_run_cell", _die_in_worker)
-        pool = WorkerPool(2)
+    def _submit(self, pool):
         jobs = _manager(runner=pool, cache=False, timeout_s=60.0)
         try:
-            outcome = run(jobs.submit(_cell()))
+            return run(jobs.submit(_cell()))
         finally:
             pool.close()
+
+    def test_killed_worker_answers_from_the_rebuilt_pool(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_TEST_DIE_DIR", str(tmp_path))
+        monkeypatch.setattr(serve_jobs, "_run_cell", _die_once_in_worker)
+        pool = WorkerPool(2)
+        outcome = self._submit(pool)
         assert outcome.status == "executed"
         assert outcome.stats == _run_cell(_cell())
-        assert pool.as_dict() == {"jobs": 2, "rebuilds": 1, "in_process": 1}
+        assert pool.as_dict() == {"jobs": 2, "rebuilds": 1, "in_process": 0}
+        assert "rebuilding it" in capsys.readouterr().err
+
+    def test_cell_that_kills_every_worker_fails_the_job(self, monkeypatch,
+                                                         capsys):
+        monkeypatch.setattr(serve_jobs, "_run_cell", _die_in_worker)
+        pool = WorkerPool(2)
+        with pytest.raises(JobFailed, match="BrokenProcessPool"):
+            self._submit(pool)
+        assert pool.as_dict() == {"jobs": 2, "rebuilds": 1, "in_process": 0}
         err = capsys.readouterr().err
-        assert "rebuilding it" in err and "finishing in-process" in err
+        assert "rebuilding it" in err and "failing the item" in err
+
+    def test_unbuildable_pool_runs_in_process(self, monkeypatch, capsys):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise OSError("no semaphores")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            refuse)
+        pool = WorkerPool(1)
+        outcome = self._submit(pool)
+        assert outcome.stats == _run_cell(_cell())
+        assert pool.as_dict() == {"jobs": 1, "rebuilds": 0, "in_process": 1}
+        assert "worker pool unavailable" in capsys.readouterr().err
 
 
 class TestDrain:

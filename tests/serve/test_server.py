@@ -152,6 +152,35 @@ class TestFailureMapping:
             assert status == 504 and record["status"] == "timeout"
             assert "exceeded" in record["error"]
 
+    def test_worker_killing_cell_is_500_and_server_stays_up(
+            self, cache_dir, server_thread, monkeypatch):
+        from repro.serve import jobs as serve_jobs
+
+        real = serve_jobs._run_cell
+        monkeypatch.setattr(serve_jobs, "_run_cell", _die_in_worker)
+        with server_thread(_config()) as handle:
+            client = handle.client()
+            status, record = client.submit_cell(TINY)
+            assert status == 500 and record["status"] == "failed"
+            assert "BrokenProcessPool" in record["error"]
+            assert client.health()["status"] == "ok"
+            # The next job starts on a fresh pool.
+            monkeypatch.setattr(serve_jobs, "_run_cell", real)
+            status, record = client.submit_cell(TINY)
+            assert status == 200 and record["status"] == "executed"
+            assert client.stats()["serve"]["pool"]["in_process"] == 0
+
+
+def _die_in_worker(cell):
+    """Serve's worker entry point, killing every worker process it
+    runs in."""
+    import multiprocessing
+    import os
+
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    raise AssertionError("a served cell ran inside the server")
+
 
 class TestDrain:
     def test_drain_flips_health_and_rejects_with_503(self, cache_dir,
