@@ -123,7 +123,6 @@ class MemorySystem:
         # extra statistics
         self.fine_lookups = 0
         self.swcc_races = 0
-        self.max_time = 0.0
 
     # -- wiring ----------------------------------------------------------------
     def attach_clusters(self, clusters: Sequence) -> None:
@@ -185,7 +184,6 @@ class MemorySystem:
         self.fine.restore(snap["fine"])
         self.backing.restore(snap["backing"])
         self.reset_contention()
-        self.max_time = 0.0
 
     def reset_contention(self) -> None:
         """Drop reserved capacity on every timing resource (stats kept)."""
@@ -217,11 +215,6 @@ class MemorySystem:
 
     def total_directory_entries(self) -> int:
         return sum(len(d) for d in self.dirs)
-
-    def _note_time(self, t: float) -> float:
-        if t > self.max_time:
-            self.max_time = t
-        return t
 
     # -- L3 data array ------------------------------------------------------------
     def _l3_victim(self, bank: int, victim: CacheLine, now: float) -> None:
@@ -273,7 +266,7 @@ class MemorySystem:
                 for word in range(len(write_values)):
                     if write_mask & (1 << word):
                         entry.data[word] = write_values[word]
-        return self._note_time(t), entry
+        return t, entry
 
     def _line_data(self, entry: CacheLine) -> Optional[List[int]]:
         return list(entry.data) if entry.data is not None else None
@@ -326,7 +319,7 @@ class MemorySystem:
                                           need_data=False)
             if resp > done:
                 done = resp
-        return self._note_time(done)
+        return done
 
     def _evict_directory_victim(self, bank: int, victim, now: float) -> float:
         """Directory eviction: invalidate all sharers of the victim entry."""
@@ -362,7 +355,7 @@ class MemorySystem:
         swcc, t = self._resolve_domain(line, bank, t)
         if swcc:
             t, entry = self._l3_access(bank, line, t)
-            return Reply(self._note_time(self.net.to_cluster(cluster_id, t)),
+            return Reply(self.net.to_cluster(cluster_id, t),
                          True, self._line_data(entry))
         directory = self.dirs[bank]
         entry = directory.get(line)
@@ -389,7 +382,7 @@ class MemorySystem:
             entry.state = DIR_S
         directory.add_sharer(entry, cluster_id)
         t, l3_entry = self._l3_access(bank, line, t)
-        return Reply(self._note_time(self.net.to_cluster(cluster_id, t)),
+        return Reply(self.net.to_cluster(cluster_id, t),
                      False, self._line_data(l3_entry))
 
     def write_line_request(self, cluster_id: int, line: int, now: float) -> Reply:
@@ -408,7 +401,7 @@ class MemorySystem:
         swcc, t = self._resolve_domain(line, bank, t)
         if swcc:
             t, entry = self._l3_access(bank, line, t)
-            return Reply(self._note_time(self.net.to_cluster(cluster_id, t)),
+            return Reply(self.net.to_cluster(cluster_id, t),
                          True, self._line_data(entry))
         directory = self.dirs[bank]
         entry = directory.get(line)
@@ -423,7 +416,7 @@ class MemorySystem:
         entry.state = DIR_M
         directory.add_sharer(entry, cluster_id)
         t, l3_entry = self._l3_access(bank, line, t)
-        return Reply(self._note_time(self.net.to_cluster(cluster_id, t)),
+        return Reply(self.net.to_cluster(cluster_id, t),
                      False, self._line_data(l3_entry))
 
     def upgrade_request(self, cluster_id: int, line: int, now: float) -> float:
@@ -447,7 +440,7 @@ class MemorySystem:
         entry.sharers = 1 << cluster_id
         entry.state = DIR_M
         directory.touch(entry)
-        return self._note_time(self.net.to_cluster(cluster_id, t))
+        return self.net.to_cluster(cluster_id, t)
 
     def writeback(self, cluster_id: int, line: int, dirty_mask: int,
                   values: Optional[Sequence[int]], now: float,
@@ -482,7 +475,7 @@ class MemorySystem:
                 directory.deallocate(entry, t)
             else:
                 entry.state = DIR_S
-        return self._note_time(t)
+        return t
 
     def read_release(self, cluster_id: int, line: int, now: float) -> float:
         """Clean-eviction notification (RdRel) for a coherent line.
@@ -504,7 +497,7 @@ class MemorySystem:
             directory.remove_sharer(entry, cluster_id)
             if entry.sharers == 0:
                 directory.deallocate(entry, t)
-        return self._note_time(t)
+        return t
 
     def atomic(self, cluster_id: int, addr: int, func, operand: int,
                now: float) -> Tuple[float, int]:
@@ -536,7 +529,7 @@ class MemorySystem:
             old = l3_entry.data[word]
             l3_entry.data[word] = func(old, operand) & 0xFFFFFFFF
         l3_entry.dirty_mask |= 1 << word
-        return self._note_time(self.net.to_cluster(cluster_id, t)), old
+        return self.net.to_cluster(cluster_id, t), old
 
     # -- fine-table update path (used by the transition engine) ------------------------
     def table_update(self, cluster_id: int, line: int, now: float) -> float:
@@ -557,4 +550,4 @@ class MemorySystem:
         t = self.net.to_l3(cluster_id, now)
         t, entry = self._l3_access(bank, table_line, t)
         entry.dirty_mask |= 1 << ((self.fine.table_word_addr(line) >> 2) & 7)
-        return self._note_time(t)
+        return t

@@ -81,7 +81,7 @@ class TransitionEngine:
         t = ms.table_update(cluster_id, line, now)
         t = self._to_swcc_line_work(line, t)
         self.to_swcc_count += 1
-        return ms._note_time(ms.net.to_cluster(cluster_id, t))
+        return ms.net.to_cluster(cluster_id, t)
 
     def _to_swcc_line_work(self, line: int, t: float) -> float:
         """Directory-side Figure 7a work, after the table bit flips."""
@@ -113,7 +113,7 @@ class TransitionEngine:
         t = ms.table_update(cluster_id, line, now)
         t = self._to_hwcc_line_work(line, t)
         self.to_hwcc_count += 1
-        return ms._note_time(ms.net.to_cluster(cluster_id, t))
+        return ms.net.to_cluster(cluster_id, t)
 
     def _to_hwcc_line_work(self, line: int, t: float) -> float:
         """Directory-side Figure 7b work, after the table bit flips."""
@@ -197,7 +197,7 @@ class TransitionEngine:
                 else:
                     t = self._to_hwcc_line_work(line, t)
                     self.to_hwcc_count += 1
-            t = ms._note_time(ms.net.to_cluster(cluster_id, t))
+            t = ms.net.to_cluster(cluster_id, t)
         return t
 
     # -- helpers -----------------------------------------------------------------
@@ -242,7 +242,7 @@ class TransitionEngine:
         if not clean and not dirty:
             # Even with no holder, the broadcast itself takes a round trip.
             done = max(done, now + 2 * ms.net.one_way_latency)
-        return clean, dirty, ms._note_time(done)
+        return clean, dirty, done
 
     def _merge_dirty_copies(self, line: int, bank: int, clean: List[int],
                             dirty: List[Tuple[int, int, list]], now: float) -> float:
@@ -270,7 +270,6 @@ class TransitionEngine:
                                         write_values=values, need_data=False)
             if resp > t:
                 t = resp
-        t = ms._note_time(t)
         if overlap and ms.policy.raise_on_swcc_race:
             # Case 5b: signal the race only after every copy has been
             # removed and all dirty values discarded. The exception

@@ -266,20 +266,44 @@ class Cache:
 
         Costs what the cache and the snapshot hold: only occupied sets
         are cleared, and an empty cache restored to an empty snapshot
-        does nothing else.
+        does nothing else. The entries cleared out are rewritten as the
+        restored ones, data lists in place, as :meth:`fill` recycles its
+        victim; a new :class:`CacheLine` is built only when the snapshot
+        holds more lines than the cache did.
         """
         sets = self.sets
         occupied = self._occupied
+        spare = ()
         if occupied:
-            for index in occupied:
-                sets[index].clear()
+            if snap:
+                spare = []
+                for index in occupied:
+                    bucket = sets[index]
+                    spare += bucket.values()
+                    bucket.clear()
+            else:
+                for index in occupied:
+                    sets[index].clear()
             occupied.clear()
         n_sets = self.n_sets
         tick = 0
         for line, valid_mask, dirty_mask, incoherent, data in snap:
             tick += 1
-            entry = CacheLine(line, valid_mask, dirty_mask, incoherent,
-                              None if data is None else list(data))
+            if spare:
+                entry = spare.pop()
+                entry.line = line
+                entry.valid_mask = valid_mask
+                entry.dirty_mask = dirty_mask
+                entry.incoherent = incoherent
+                if data is None:
+                    entry.data = None
+                elif entry.data is None:
+                    entry.data = list(data)
+                else:
+                    entry.data[:] = data
+            else:
+                entry = CacheLine(line, valid_mask, dirty_mask, incoherent,
+                                  None if data is None else list(data))
             entry.lru = tick
             index = line % n_sets
             sets[index][line] = entry

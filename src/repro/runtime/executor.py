@@ -246,7 +246,7 @@ class BspExecutor:
             kind = op[0]
             if kind == OP_LOAD:
                 now, value = cluster.load(local, op[1], now)
-                if len(op) > 2 and check_loads and value != op[2]:
+                if check_loads and len(op) > 2 and value != op[2]:
                     if len(mismatches) < 100:
                         mismatches.append((op[1], op[2], value))
             elif kind == OP_STORE:

@@ -8,6 +8,7 @@ event-interleaved executor schedules on.
 
 from __future__ import annotations
 
+import gc
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig, Policy
@@ -85,10 +86,25 @@ class Machine:
         clocks[:] = [0.0] * len(clocks)
 
     def run(self, program, ops_per_slice: int = 8) -> RunStats:
-        """Execute a BSP program to completion and return its stats."""
+        """Execute a BSP program to completion and return its stats.
+
+        A run allocates no reference cycles (DESIGN.md, "Ownership"), so
+        the cyclic collector, if enabled, is paused for the run and
+        re-enabled afterwards, also when the run raises: its passes here
+        would only re-trace the live machine and find nothing (see
+        docs/performance.md). A collector the caller disabled stays
+        disabled.
+        """
         from repro.runtime.executor import BspExecutor
 
-        return BspExecutor(self, program, ops_per_slice=ops_per_slice).run()
+        executor = BspExecutor(self, program, ops_per_slice=ops_per_slice)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return executor.run()
+        finally:
+            if was_enabled:
+                gc.enable()
 
     # -- functional-data helpers (track_data machines only) ----------------------
     def drain_caches(self) -> None:

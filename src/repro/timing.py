@@ -36,11 +36,15 @@ class Resource:
     in the first non-full bucket at or after ``now`` and returns the time
     service starts (>= now). A saturated resource pushes requests into
     later buckets, producing queueing delay proportional to the backlog
-    near the requested time.
+    near the requested time. ``now`` is a simulated time: never
+    negative, and ``0.0`` rather than ``-0.0`` at the origin.
 
-    Saturated scans are amortised O(1): buckets proven full are linked
-    into path-compressed skip runs (``_full_next``), so a backlogged
-    resource never re-walks its full region request after request -- the
+    A request that fits in ``now``'s own bucket -- the common case --
+    costs one probe and starts at ``now``; only a full bucket (or a
+    request wider than a bucket) reaches the search below. Saturated
+    scans are amortised O(1): buckets proven full are linked into
+    path-compressed skip runs (``_full_next``), so a backlogged resource
+    never re-walks its full region request after request -- the
     behaviour that made heavily contended phases quadratic. Fill values
     in ``_used`` are untouched by the skip structure, so reservations
     and start times are bit-identical to the plain linear scan (proven
@@ -110,14 +114,18 @@ class Resource:
         self.total_busy += occupancy
         used = self._used
         bucket = int(now * _INV_BUCKET)
-        # Service starts in the first bucket that can take the request
-        # whole, or -- for occupancies wider than one bucket -- in the
-        # first bucket with any free capacity, spilling the remainder
-        # into the following buckets.
+        filled = used.get(bucket, 0.0)
+        if filled + occupancy <= BUCKET_CYCLES:
+            # Fits in ``now``'s own bucket, which starts at or before
+            # ``now``: no search, no spill, service starts at once.
+            used[bucket] = filled + occupancy
+            return now
+        # Otherwise service starts in the first bucket that can take the
+        # request whole, or -- for occupancies wider than one bucket --
+        # in the first bucket with any free capacity, spilling the
+        # remainder into the following buckets.
         if occupancy <= BUCKET_CYCLES:
-            filled = used.get(bucket, 0.0)
-            if filled + occupancy > BUCKET_CYCLES:
-                bucket, filled = self._slot_after(bucket, occupancy)
+            bucket, filled = self._slot_after(bucket, occupancy)
             used[bucket] = filled + occupancy
         else:
             while used.get(bucket, 0.0) >= BUCKET_CYCLES:

@@ -286,8 +286,3 @@ class TestTimingSanity:
         t0 = 10_000.0
         hit = ms.read_line(1, line, t0).time - t0
         assert hit < miss
-
-    def test_max_time_tracks(self, hwcc_machine):
-        ms = hwcc_machine.memsys
-        reply = ms.read_line(0, line_of(COHERENT_HEAP), 123.0)
-        assert ms.max_time >= reply.time

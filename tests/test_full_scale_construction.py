@@ -71,22 +71,37 @@ class TestFullScaleSmoke:
     def test_full_machine_gjk(self):
         """One 128-cluster (1024-core) kernel end to end.
 
-        The finished machine must then be freed by reference counting
-        alone: with the collector paused, it dies on ``del``. At this
-        size a machine left for the collector holds the most memory.
+        The run starts with the collector enabled, as production runs
+        do, so it exercises the pause :meth:`Machine.run` puts around
+        the run: the collector must be enabled again afterwards. The
+        finished machine must then be freed by reference counting
+        alone, and with ``DEBUG_SAVEALL`` over the whole run no
+        collection finds a ``repro`` object. At this size a machine
+        left for the collector holds the most memory.
         """
         cfg = MachineConfig(track_data=False).scaled(128)
         was_enabled = gc.isenabled()
-        gc.disable()
+        flags = gc.get_debug()
+        gc.enable()
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             machine = Machine(cfg, Policy.cohesion(entries_per_bank=1024,
                                                    assoc=64))
             program = get_workload("gjk", scale=1.0, seed=1234).build(machine)
             stats = machine.run(program)
+            assert gc.isenabled()
             assert stats.as_dict()["cycles"] > 0
             ref = weakref.ref(machine)
-            del machine
+            del machine, program
             assert ref() is None
+            gc.collect()
+            found = [obj for obj in gc.garbage
+                     if type(obj).__module__.startswith("repro")]
+            gc.garbage.clear()
+            assert found == []
         finally:
-            if was_enabled:
-                gc.enable()
+            gc.set_debug(flags)
+            if not was_enabled:
+                gc.disable()

@@ -1,5 +1,7 @@
 """Bucketed contention resources."""
 
+import struct
+
 from hypothesis import given, settings, strategies as st
 
 from repro.timing import BUCKET_CYCLES, Resource, ResourceGroup
@@ -129,16 +131,28 @@ class _ReferenceResource:
 _OCC_CLASSES = [1.0 / 16.0, 0.125, 0.5, 1.0, 4.0, 8.0, 40.0]
 
 
+def _bits(value: float) -> bytes:
+    return struct.pack("d", value)
+
+
 class TestSlotSearchEquality:
     """The skip-accelerated search must equal the linear scan exactly."""
 
     @staticmethod
     def _check(requests):
+        """Start times, ledger and counters equal bit for bit.
+
+        Floats are compared as their IEEE-754 bytes, so ``-0.0`` and
+        ``0.0`` (equal under ``==``) would differ.
+        """
         fast, ref = Resource(), _ReferenceResource()
         for now, occ in requests:
-            assert fast.acquire(now, occ) == ref.acquire(now, occ)
-        assert fast._used == ref._used
-        assert fast.total_busy == ref.total_busy
+            assert _bits(fast.acquire(now, occ)) == \
+                _bits(ref.acquire(now, occ)), (now, occ)
+        assert {b: _bits(v) for b, v in fast._used.items()} == \
+            {b: _bits(v) for b, v in ref._used.items()}
+        assert _bits(fast.total_busy) == _bits(ref.total_busy)
+        assert fast.acquisitions == ref.acquisitions == len(requests)
 
     def test_exhaustive_single_class_saturation(self):
         """Each occupancy class alone, driven to deep saturation."""
@@ -173,6 +187,37 @@ class TestSlotSearchEquality:
         reqs = [(0.0, 8.0)] * 10 + [(0.0, 40.0)] + [(0.0, 0.5)] * 80 \
             + [(0.0, 40.0)] + [(10.0, 1.0)] * 40
         self._check(reqs)
+
+    def test_zero_occupancy_interleaved(self):
+        """Zero-occupancy requests are counted and reserve nothing."""
+        reqs = []
+        for i in range(120):
+            occ = 0.0 if i % 4 == 0 else _OCC_CLASSES[i % len(_OCC_CLASSES)]
+            reqs.append((float((i * 5) % 70), occ))
+        self._check(reqs)
+
+    def test_now_on_bucket_boundaries(self):
+        """``now == k * BUCKET_CYCLES``: the bucket starts exactly at now.
+
+        Covers ``k = 0`` (an idle machine's first requests at 0.0) and
+        boundaries of full and empty buckets alike.
+        """
+        for occ in _OCC_CLASSES + [0.0, BUCKET_CYCLES]:
+            reqs = [(k * BUCKET_CYCLES, occ)
+                    for _ in range(12) for k in (0, 1, 2, 5, 3, 0, 1)]
+            self._check(reqs)
+
+    def test_fills_summing_exactly_to_capacity(self):
+        """A bucket filled to exactly ``BUCKET_CYCLES`` still takes the
+        last request in place; the next one moves on."""
+        for occ in (0.125, 0.5, 1.0, 4.0, 8.0, 16.0, BUCKET_CYCLES):
+            n = int(BUCKET_CYCLES / occ)
+            for now in (0.0, 7.5, 31.0, 32.0, 100.0):
+                self._check([(now, occ)] * (3 * n + 1))
+        # mixed classes whose sum is exactly one bucket
+        for now in (0.0, 5.0, 32.0):
+            self._check([(now, 16.0), (now, 8.0), (now, 4.0), (now, 4.0),
+                         (now, 1.0), (now, 16.0), (now, 16.0), (now, 0.5)])
 
     def test_reset_clears_skip_state(self):
         fast, ref = Resource(), _ReferenceResource()
