@@ -145,21 +145,17 @@ def run_workload(name: str, policy: Policy, exp: ExperimentConfig,
                  ) -> Tuple[RunStats, Machine]:
     """Build a fresh machine, run one workload, return (stats, machine).
 
-    ``instrument``, if given, is called with ``(machine, program)`` after
-    the program is built but before it runs -- the hook point for
-    attaching debug oracles (invariant checkers, tracers) to a normal
-    experiment run.
+    ``instrument``, if given, is called with the machine after the
+    program is built but before it runs -- the hook point for attaching
+    debug oracles (invariant checkers, tracers) to the machine's bus.
 
     The program comes through the compiled-artifact store
-    (:func:`repro.cache.programs.build_program`) when caching is enabled:
-    a store hit replays the build's allocation side effects and hands the
-    executor the frozen op stream directly, which is bit-identical to a
-    fresh build. Instrumented runs thaw the frozen form first so hooks
-    see an ordinary :class:`~repro.runtime.program.Program`.
+    (:func:`repro.cache.programs.build_program`): a store hit replays the
+    build's allocation side effects and hands the executor the frozen op
+    stream directly, which is bit-identical to a fresh build.
     """
     from repro.cache.programs import build_program
     from repro.errors import StaleArtifactError
-    from repro.runtime.program import FrozenProgram
 
     machine = Machine(exp.machine_config(**config_extra), policy)
     workload = get_workload(name, scale=exp.scale, seed=exp.seed)
@@ -173,9 +169,7 @@ def run_workload(name: str, policy: Policy, exp: ExperimentConfig,
         machine = Machine(exp.machine_config(**config_extra), policy)
         program = workload.build(machine)
     if instrument is not None:
-        if isinstance(program, FrozenProgram):
-            program = program.thaw()
-        instrument(machine, program)
+        instrument(machine)
     stats = machine.run(program, ops_per_slice=exp.ops_per_slice)
     return stats, machine
 

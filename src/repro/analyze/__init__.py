@@ -3,11 +3,11 @@
 The repository's one static checker for the software-managed half of the
 Task-Centric Memory Model. It consumes the *frozen* artifact form
 directly -- the flat per-phase op arrays with task bounds that the
-executor runs and the experiment cache stores -- and never thaws,
-interprets, or simulates anything. From one pass over those slices it
+executor runs and the experiment cache stores -- and never interprets
+or simulates anything. From one pass over those slices it
 builds barrier-interval bitmask dataflow facts (:mod:`repro.analyze.ir`)
-and runs the rules COH001..COH010 (:mod:`repro.analyze.rules`). A plain
-:class:`~repro.runtime.program.Program` is frozen in memory first.
+and runs the rules COH001..COH009 (:mod:`repro.analyze.rules`). A plain
+:class:`~repro.runtime.program.Program` is analyzed as ``program.freeze()``.
 :mod:`repro.analyze.crossval` replays a program with every dynamic
 oracle attached to confirm a finding.
 
@@ -21,14 +21,13 @@ from repro.analyze.ir import AnalysisIR, TaskSummary
 from repro.analyze.report import (AnalysisReport, Diagnostic, Severity,
                                   diagnostic_sort_key)
 from repro.analyze.rules import (ANALYZE_RULE_IDS, ANALYZE_RULES,
-                                 AnalyzeContext, AnalyzeRule, Transition)
-from repro.analyze.runner import (analyze_frozen, analyze_workload,
-                                  ensure_frozen)
+                                 AnalyzeContext, AnalyzeRule)
+from repro.analyze.runner import analyze_frozen, analyze_workload
 
 __all__ = [
     "ANALYZE_RULES", "ANALYZE_RULE_IDS", "AnalysisIR", "AnalysisReport",
     "AnalyzeContext", "AnalyzeRule", "Diagnostic", "DomainModel",
-    "OracleRun", "Severity", "TaskSummary", "Transition", "analyze_frozen",
-    "analyze_workload", "diagnostic_sort_key", "ensure_frozen",
-    "run_with_oracles", "watched_lines",
+    "OracleRun", "Severity", "TaskSummary", "analyze_frozen",
+    "analyze_workload", "diagnostic_sort_key", "run_with_oracles",
+    "watched_lines",
 ]

@@ -73,9 +73,7 @@ class OracleRun:
         violation; efficiency rules by the matching waste counter:
         redundant write-backs (COH008) surface as WBs that found nothing
         dirty or nothing resident, useless invalidates (COH009) as INVs
-        that found the line already gone. COH010 is schedule-only --
-        it predicts what a *hypothetical* transition schedule would
-        break, so a run of the unmodified program cannot confirm it.
+        that found the line already gone.
         """
         if diagnostic.rule in ("COH001", "COH002", "COH003", "COH007"):
             return self.protocol_broken
@@ -100,7 +98,7 @@ def run_with_oracles(machine, program: Program,
     traces nothing rather than everything -- whole-program traces are for
     interactive debugging, not confirmation runs).
     """
-    checker = attach_barrier_checker(program, machine)
+    checker = attach_barrier_checker(machine)
     tracer: Optional[LineTracer] = None
     watch_set = set(watch) if watch else set()
     if trace and watch_set:

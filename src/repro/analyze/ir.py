@@ -34,7 +34,6 @@ from repro.types import (OP_ATOMIC, OP_IFETCH, OP_INV, OP_LOAD, OP_STORE,
 
 #: Words per cache line; a full-line word mask is ``(1 << WORDS_PER_LINE) - 1``.
 WORDS_PER_LINE = 1 << (LINE_SHIFT - WORD_SHIFT)
-FULL_LINE_MASK = (1 << WORDS_PER_LINE) - 1
 _WORD_IN_LINE = WORDS_PER_LINE - 1
 
 
@@ -79,16 +78,13 @@ class AnalysisIR:
         self.store_mask: Dict[int, int] = {}
         self.atomic_mask: Dict[int, int] = {}
         self.n_phases = 0
-        self.has_after_hooks = False
 
     @classmethod
     def of_frozen(cls, frozen) -> "AnalysisIR":
-        """Build the IR from flat frozen slices, never thawing tasks."""
+        """Build the IR from the flat frozen slices."""
         ir = cls(frozen)
         ir.n_phases = len(frozen.phases)
         for p, phase in enumerate(frozen.phases):
-            if getattr(phase, "after", None) is not None:
-                ir.has_after_hooks = True
             bit = 1 << p
             ops = phase.ops
             bounds = phase.bounds

@@ -94,8 +94,7 @@ class AnalysisReport:
     policy: str = ""
     diagnostics: List[Diagnostic] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
-    """Analysis-limit annotations (e.g. runtime ``Phase.after`` hooks the
-    static domain model cannot see through)."""
+    """Analysis-limit annotations."""
     rules_run: List[str] = field(default_factory=list)
     summary: Dict[str, object] = field(default_factory=dict)
 

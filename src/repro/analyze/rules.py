@@ -1,4 +1,4 @@
-"""The analyzer's rule set, COH001..COH010, over the frozen-artifact IR.
+"""The analyzer's rule set, COH001..COH009, over the frozen-artifact IR.
 
 ======  ======================  ========  ==============================
 id      name                    severity  finding
@@ -22,9 +22,6 @@ COH008  redundant-writeback     warning   WB of an SWcc line the task
 COH009  useless-invalidate      warning   INV of an SWcc line the task
                                           never touches (its core holds
                                           no copy to drop)
-COH010  unsafe-transition       error     scheduled ``to_hwcc`` while a
-                                          partial-valid or unflushed
-                                          copy may still be resident
 ======  ======================  ========  ==============================
 
 COH007 is the reader-side dual of COH002: COH002 blames the task that
@@ -33,9 +30,7 @@ the surviving copy endangers. A program is COH007-clean exactly when it
 is COH002-clean, so the two rules never disagree -- they attribute the
 same window to its two ends. COH008/COH009 are the static predictors of
 the dynamic waste counters (``clean_wb``/``wasted_wb``/``wasted_inv``)
-the crossval oracles measure. COH010 only fires when an explicit
-*transition schedule* is supplied; plain-program analysis never sees
-one.
+the crossval oracles measure.
 
 Every rule reports at most :data:`MAX_DIAGNOSTICS_PER_RULE` findings.
 """
@@ -46,28 +41,16 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, Sequence, Set, Tuple
+from typing import Dict, Iterator, Set, Tuple
 
 from repro.analyze.domain import DomainModel
-from repro.analyze.ir import FULL_LINE_MASK, AnalysisIR
+from repro.analyze.ir import AnalysisIR
 from repro.analyze.report import Diagnostic, Severity
-from repro.mem.address import LINE_SHIFT, WORD_BYTES, WORD_SHIFT, line_of
+from repro.mem.address import LINE_SHIFT, WORD_BYTES, WORD_SHIFT
 from repro.types import PolicyKind
 
 #: Findings one rule may report for one program; the rest are dropped.
 MAX_DIAGNOSTICS_PER_RULE = 200
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One entry of a coherence-domain transition schedule: at the
-    barrier closing phase ``phase``, move ``[base, base+size)`` to the
-    named domain (``"to_hwcc"`` or ``"to_swcc"``)."""
-
-    phase: int
-    action: str
-    base: int
-    size: int
 
 
 @dataclass
@@ -76,7 +59,6 @@ class AnalyzeContext:
 
     ir: AnalysisIR
     domain: DomainModel
-    schedule: Sequence[Transition] = ()
 
 
 @dataclass(frozen=True)
@@ -397,50 +379,6 @@ def check_coh009(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
                 hint=f"drop line {line:#x} from the task's input_lines")
 
 
-# -- COH010: unsafe domain transitions ------------------------------------
-
-@_capped
-def check_coh010(ctx: AnalyzeContext) -> Iterator[Diagnostic]:
-    ir = ctx.ir
-    for tr in ctx.schedule:
-        if tr.action != "to_hwcc":
-            continue
-        lo = line_of(tr.base)
-        hi = line_of(tr.base + tr.size - 1)
-        for s in ir.tasks:
-            if s.phase > tr.phase:
-                continue
-            for line in sorted(s.stores):
-                if not lo <= line <= hi:
-                    continue
-                if not ctx.domain.is_swcc(line):
-                    continue  # already directory-tracked
-                if line not in s.flush_set:
-                    why = "unflushed-dirty"
-                elif (s.stores[line] != FULL_LINE_MASK
-                      and line not in s.loads
-                      and line not in s.input_set):
-                    # Store-allocated without a full-line fill: the copy
-                    # is valid only word-wise, which only the SWcc
-                    # per-word dirty masks can express.
-                    why = "partial-valid"
-                else:
-                    continue
-                yield Diagnostic(
-                    rule="COH010", severity=Severity.ERROR,
-                    phase=s.phase, phase_name=ir.phase_name(s.phase),
-                    task=s.task, line=line,
-                    message=(f"to_hwcc scheduled at barrier {tr.phase} is "
-                             f"unsafe: this task may leave a {why} copy of "
-                             "the line resident, and the directory would "
-                             "start tracking the line assuming memory is "
-                             "its owner"),
-                    hint=(f"flush and invalidate line {line:#x} "
-                          "(flush_lines + input_lines) in every task that "
-                          "stores it before the transition, or delay the "
-                          "transition"))
-
-
 ANALYZE_RULES: Dict[str, AnalyzeRule] = {rule.id: rule for rule in (
     AnalyzeRule(
         id="COH001", name="missing-flush", severity=Severity.ERROR,
@@ -480,12 +418,8 @@ ANALYZE_RULES: Dict[str, AnalyzeRule] = {rule.id: rule for rule in (
         id="COH009", name="useless-invalidate", severity=Severity.WARNING,
         summary="INV of an SWcc line the issuing task never touches",
         check=check_coh009),
-    AnalyzeRule(
-        id="COH010", name="unsafe-transition", severity=Severity.ERROR,
-        summary="scheduled to_hwcc with a possibly-resident unsound copy",
-        check=check_coh010),
 )}
 ANALYZE_RULE_IDS: Tuple[str, ...] = tuple(ANALYZE_RULES)
 
 __all__ = ["ANALYZE_RULES", "ANALYZE_RULE_IDS", "AnalyzeContext",
-           "AnalyzeRule", "MAX_DIAGNOSTICS_PER_RULE", "Transition"]
+           "AnalyzeRule", "MAX_DIAGNOSTICS_PER_RULE"]

@@ -9,25 +9,22 @@ source-tree hash. A hit replays the artifact's allocation log through
 the live machine (reproducing build-time protocol side effects exactly)
 instead of regenerating the op stream.
 
-Artifacts are pickles (op tuples, bounds, dicts -- no callables; a
-program with ``after`` hooks raises at freeze time and is simply not
-stored). As with results, any unreadable or mismatched artifact is a
-miss.
+Artifacts are pickles (op tuples, bounds, dicts -- no callables). As
+with results, any unreadable or mismatched artifact is a miss.
 """
 
 from __future__ import annotations
 
 import pathlib
 import pickle
-from typing import Optional, Union
+from typing import Optional
 
 from repro.cache import srchash
 from repro.cache.keys import (cache_enabled, cache_root, canonical, digest,
                               write_atomically)
 from repro.cache.results import ReuseStats
-from repro.errors import FreezeError
 from repro.mem.address import WORD_SHIFT
-from repro.runtime.program import FROZEN_FORMAT, FrozenProgram, Program
+from repro.runtime.program import FROZEN_FORMAT, FrozenProgram
 
 #: Bumped whenever the artifact payload layout changes incompatibly.
 PROGRAM_SCHEMA = 1
@@ -134,41 +131,34 @@ def dump_artifact(frozen: FrozenProgram, path) -> None:
         lambda fh: pickle.dump(frozen, fh, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def build_program(name: str, workload, machine
-                  ) -> Union[Program, FrozenProgram]:
+def build_program(name: str, workload, machine) -> FrozenProgram:
     """Build ``workload`` on ``machine``, reusing a stored artifact.
 
     On a store hit the artifact's allocation log is replayed through the
     machine's real allocation API (reproducing addresses *and* protocol
     side effects -- ``coh_malloc`` converts regions under Cohesion) and
-    the frozen program is returned for direct execution. On a miss the
-    workload builds normally, and the frozen form is stored for next
-    time and returned, so the executor need not freeze it again. Only a
-    program that cannot be frozen (``after`` hooks) comes back as a
-    plain :class:`Program`.
+    the frozen program is returned for direct execution. On a miss (or
+    with caching off) the workload builds normally and is frozen; the
+    frozen form is stored for next time.
 
     Raises :class:`~repro.errors.StaleArtifactError` if replay diverges
     from the recorded addresses; the machine may then be part-allocated,
     so the caller must rebuild on a *fresh* machine.
     """
     if not cache_enabled():
-        return workload.build(machine)
+        return workload.build(machine).freeze()
     store = ProgramStore()
     try:
         key = program_key(name, workload, machine)
     except Exception:
-        return workload.build(machine)
+        return workload.build(machine).freeze()
     frozen = store.load(key)
     if frozen is not None:
         frozen.apply_to(machine)
         PROGRAM_STATS.hits += 1
         return frozen
     PROGRAM_STATS.misses += 1
-    program = workload.build(machine)
-    try:
-        frozen = program.freeze()
-    except FreezeError:
-        return program
+    frozen = workload.build(machine).freeze()
     frozen.alloc_log = list(workload._alloc_log)
     if machine.config.track_data:
         words = getattr(machine.memsys.backing, "_words", None)

@@ -12,7 +12,7 @@ Commands
     time-series (``--self-check`` schema-validates the export for CI).
 ``analyze``
     Statically check a workload's frozen program (or an artifact file)
-    against the coherence rules COH001..COH010 without simulating
+    against the coherence rules COH001..COH009 without simulating
     anything.
 ``mc``
     Exhaustively model-check the protocol implementation itself: drive
@@ -149,10 +149,10 @@ def cmd_run(args) -> int:
     policy = policy_from_name(args.policy, args.dir_entries, args.dir_assoc)
     checker = None
 
-    def instrument(machine, program):
+    def instrument(machine):
         nonlocal checker
         from repro.debug import attach_barrier_checker
-        checker = attach_barrier_checker(program, machine)
+        checker = attach_barrier_checker(machine)
 
     stats, machine = run_workload(
         args.workload, policy, exp,
@@ -210,7 +210,7 @@ def cmd_trace(args) -> int:
     collector = None
     registry = None
 
-    def instrument(machine, program):
+    def instrument(machine):
         nonlocal collector, registry
         collector = ChromeTraceCollector(machine, max_events=max_events)
         registry = MetricsRegistry(machine, interval=interval)
@@ -251,23 +251,9 @@ def cmd_trace(args) -> int:
 def cmd_analyze(args) -> int:
     import json
 
-    from repro.analyze import (Severity, Transition, analyze_frozen,
-                               analyze_workload)
-    from repro.errors import ScheduleError
+    from repro.analyze import Severity, analyze_frozen, analyze_workload
 
     rules = args.rules.split(",") if args.rules else None
-    schedule = ()
-    if args.schedule:
-        try:
-            with open(args.schedule) as fh:
-                entries = json.load(fh)
-            schedule = tuple(
-                Transition(phase=int(e["phase"]), action=str(e["action"]),
-                           base=int(e["base"]), size=int(e["size"]))
-                for e in entries)
-        except (OSError, ValueError, KeyError, TypeError) as err:
-            print(f"analyze: bad schedule file: {err}", file=sys.stderr)
-            return 2
     if args.policy == "all":
         policies = [("swcc", policy_from_name("swcc")),
                     ("hwcc-ideal", policy_from_name("hwcc-ideal")),
@@ -283,7 +269,7 @@ def cmd_analyze(args) -> int:
             frozen = load_artifact(args.artifact)
             for label, policy in policies:
                 report = analyze_frozen(frozen, kind=policy.kind,
-                                        rules=rules, schedule=schedule)
+                                        rules=rules)
                 report.policy = label
                 reports.append(report)
         else:
@@ -296,15 +282,11 @@ def cmd_analyze(args) -> int:
             for name in names:
                 for label, policy in policies:
                     report, _frozen, _machine = analyze_workload(
-                        name, policy=policy, exp=exp, rules=rules,
-                        schedule=schedule)
+                        name, policy=policy, exp=exp, rules=rules)
                     report.policy = label
                     reports.append(report)
     except KeyError as err:
         print(f"analyze: {err.args[0]}", file=sys.stderr)
-        return 2
-    except ScheduleError as err:
-        print(f"analyze: bad schedule file: {err}", file=sys.stderr)
         return 2
     except ReproError as err:
         print(f"analyze: {err}", file=sys.stderr)
@@ -697,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser(
         "analyze", help="whole-program static coherence analysis over "
-                        "frozen artifacts (COH001..COH010)")
+                        "frozen artifacts (COH001..COH009)")
     p_an.add_argument("workload", nargs="?", choices=ALL_WORKLOADS,
                       help="kernel to analyze")
     p_an.add_argument("--all", action="store_true",
@@ -711,9 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: the three protocol kinds)")
     p_an.add_argument("--rules", default=None,
                       help="comma-separated rule ids (default: all)")
-    p_an.add_argument("--schedule", default=None, metavar="FILE",
-                      help="JSON transition schedule for COH010 "
-                           "([{phase, action, base, size}, ...])")
     p_an.add_argument("--summary", default=None, metavar="FILE",
                       help="append a markdown summary table (for CI)")
     p_an.add_argument("--json", action="store_true",

@@ -1,10 +1,10 @@
 """Cohesion's coarse- and fine-grain region tables (Section 3.4, Figure 5).
 
-The coarse-grain table is a small on-die structure of (start, size,
-valid) ranges, queried in parallel with the directory at zero cost; the
+The coarse-grain table is a small on-die structure of (start, size)
+ranges, queried in parallel with the directory at zero cost; the
 runtime points its few entries at the large, long-lived SWcc regions:
 the code segment, the per-core stack segment, and persistent immutable
-globals.
+globals. It is written once, at boot, and never changes afterwards.
 
 The fine-grain table maps *all* of memory at one bit per cache line
 (16 MB for a 4 GB space) and is consulted only when both the directory
@@ -18,40 +18,25 @@ for the table word each lookup or atomic update touches, using the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Iterator, List
 
 from repro.errors import RegionError
 from repro.mem.address import LINE_BYTES, line_base, lines_in_range
 from repro.core.tbloff import table_entry_addr
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoarseRegion:
     """One entry of the coarse-grain region table."""
 
     start: int
     size: int
-    valid: bool = True
     name: str = ""
-    #: The owning table's per-line lookup memo, set by
-    #: :meth:`CoarseRegionTable.add`: flipping ``valid`` must drop it.
-    #: Only the memo is held, not the table, so the two form no cycle.
-    _memo: Optional[dict] = field(default=None, repr=False, compare=False)
-
-    def __setattr__(self, key, value):
-        object.__setattr__(self, key, value)
-        if key == "valid":
-            memo = getattr(self, "_memo", None)
-            if memo is not None:
-                memo.clear()
 
     @property
     def end(self) -> int:
         return self.start + self.size
-
-    def contains(self, addr: int) -> bool:
-        return self.valid and self.start <= addr < self.end
 
 
 class CoarseRegionTable:
@@ -66,8 +51,7 @@ class CoarseRegionTable:
         self._regions: List[CoarseRegion] = []
         # Per-line lookup memo. The table is written a handful of times
         # at boot and read on every L2 miss, so the linear region scan
-        # is worth caching; add()/remove() invalidate wholesale. Regions
-        # hold this dict, so it is cleared in place, never replaced.
+        # is worth caching; add() invalidates it wholesale.
         self._line_memo: dict = {}
 
     def add(self, start: int, size: int, name: str = "") -> CoarseRegion:
@@ -77,26 +61,18 @@ class CoarseRegionTable:
             raise RegionError(f"region {name!r} is not line-aligned")
         if len(self._regions) >= self.capacity:
             raise RegionError("coarse region table is full")
-        region = CoarseRegion(start, size, True, name)
+        region = CoarseRegion(start, size, name)
         for other in self._regions:
-            if other.valid and start < other.end and other.start < region.end:
+            if start < other.end and other.start < region.end:
                 raise RegionError(f"region {name!r} overlaps {other.name!r}")
-        region._memo = self._line_memo
         self._regions.append(region)
         self._line_memo.clear()
         return region
 
-    def remove(self, region: CoarseRegion) -> None:
-        try:
-            self._regions.remove(region)
-        except ValueError:
-            raise RegionError("region not present in coarse table") from None
-        self._line_memo.clear()
-
     def lookup(self, addr: int) -> bool:
-        """True if ``addr`` falls in any valid SWcc coarse region."""
+        """True if ``addr`` falls in any SWcc coarse region."""
         for region in self._regions:
-            if region.valid and region.start <= addr < region.end:
+            if region.start <= addr < region.end:
                 return True
         return False
 

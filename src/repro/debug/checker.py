@@ -3,8 +3,9 @@
 :class:`InvariantChecker` audits a live machine against the global
 invariants the memory model promises and returns structured
 :class:`Violation` records instead of asserting, so it can run inside
-long simulations (e.g. from a ``Phase.after`` hook), in notebooks, or in
-tests. The invariants:
+long simulations (subscribed to the machine bus's barrier events by
+:func:`attach_barrier_checker`), in notebooks, or in tests. The
+invariants:
 
 * **single-writer** -- a hardware-coherent line with dirty words in one
   L2 is MODIFIED at the directory with exactly that owner, and resident
@@ -44,23 +45,18 @@ class Violation:
                 f"-- {self.detail}")
 
 
-def attach_barrier_checker(program, machine,
-                           raise_on_violation: bool = False
+def attach_barrier_checker(machine, raise_on_violation: bool = False
                            ) -> "InvariantChecker":
-    """Audit ``machine`` at every barrier of a run.
+    """Audit ``machine`` at every barrier of every run while attached.
 
     Subscribes a fresh :class:`InvariantChecker` to the machine bus's
-    barrier events, which the executor emits at the release point
-    *before* any ``Phase.after`` hook runs -- so the machine is
-    inspected exactly as the barrier left it. Returns the checker; read
-    its ``all_violations`` after the run and call :meth:`detach` (also
-    idempotent) to stop auditing. With ``raise_on_violation`` the first
-    dirty barrier raises instead -- the fail-fast mode for tests.
-
-    ``program`` is accepted for interface continuity (the audit now
-    covers any program run on ``machine`` while attached).
+    barrier events, which the executor emits at the release point, so
+    the machine is inspected exactly as the barrier left it. Returns the
+    checker; read its ``all_violations`` after the run and call
+    :meth:`detach` (idempotent) to stop auditing. With
+    ``raise_on_violation`` the first dirty barrier raises instead -- the
+    fail-fast mode for tests.
     """
-    del program  # the bus subscription covers every program on machine
     checker = InvariantChecker(machine)
 
     def on_barrier(_event) -> None:
@@ -83,7 +79,7 @@ class InvariantChecker:
         self._subscription: Optional[Subscription] = None
 
     def detach(self) -> None:
-        """Stop a barrier-hook subscription; idempotent."""
+        """Stop the barrier subscription; idempotent."""
         if self._subscription is not None:
             self._subscription.cancel()
             self._subscription = None
@@ -104,11 +100,6 @@ class InvariantChecker:
             summary = "\n".join(str(v) for v in violations[:20])
             raise AssertionError(
                 f"{len(violations)} protocol invariant violation(s):\n{summary}")
-
-    # -- hook form ----------------------------------------------------------
-    def on_barrier(self, machine=None) -> None:
-        """Usable directly as ``Phase.after``; raises on violation."""
-        self.assert_ok()
 
     # -- individual audits ------------------------------------------------------
     def _check_clusters(self, violations: List[Violation]) -> None:

@@ -54,19 +54,6 @@ class SimulationError(ReproError):
     """The simulation engine reached an impossible state (e.g. deadlock)."""
 
 
-class FreezeError(ReproError):
-    """A :class:`~repro.runtime.program.Program` cannot be frozen.
-
-    Raised when the program carries state that has no compact on-disk
-    form -- currently only ``Phase.after`` host callbacks, which are
-    arbitrary Python callables."""
-
-
-class ScheduleError(ReproError):
-    """A transition schedule names an action, size or barrier that the
-    COH010 audit cannot check (it would otherwise skip it silently)."""
-
-
 class CacheAccessError(ReproError):
     """The on-disk experiment cache could not be accessed.
 

@@ -26,7 +26,7 @@ from typing import List, Set
 from repro.errors import SimulationError
 from repro.mem.address import LINE_BYTES, LINE_SHIFT
 from repro.obs.bus import EV_BARRIER, ObsEvent
-from repro.runtime.program import FrozenPhase, freeze_phase
+from repro.runtime.program import FrozenPhase, Program
 from repro.sim.stats import RunStats, collect_stats
 from repro.types import (OP_ATOMIC, OP_BARRIER, OP_COMPUTE, OP_IFETCH,
                          OP_INV, OP_LOAD, OP_STORE, OP_WB)
@@ -54,20 +54,20 @@ class _CoreState:
 
 
 class BspExecutor:
-    """Runs one :class:`~repro.runtime.program.Program` to completion.
+    """Runs one program to completion in its frozen form.
 
-    Accepts either a plain :class:`Program` or the compact
-    :class:`~repro.runtime.program.FrozenProgram` form. Plain phases are
-    compiled with :func:`~repro.runtime.program.freeze_phase` at run
-    time (so a phase mutated after construction executes as mutated);
-    frozen phases are consumed directly -- each task's flush WBs were
-    fused into the flat op array once at freeze time, so dequeuing a
-    task is a prefix copy, the live stack block, and one slice.
+    Runs a :class:`~repro.runtime.program.FrozenProgram`; a plain
+    :class:`~repro.runtime.program.Program` is frozen once, here. Each
+    task's flush WBs were fused into the flat op array at freeze time,
+    so dequeuing a task is a prefix copy, the live stack block, and one
+    slice.
     """
 
     def __init__(self, machine, program, ops_per_slice: int = 8) -> None:
         if ops_per_slice <= 0:
             raise SimulationError("ops_per_slice must be positive")
+        if isinstance(program, Program):
+            program = program.freeze()
         self.machine = machine
         self.program = program
         self.ops_per_slice = ops_per_slice
@@ -95,8 +95,6 @@ class BspExecutor:
     def run(self) -> RunStats:
         machine = self.machine
         for phase in self.program.phases:
-            if not isinstance(phase, FrozenPhase):
-                phase = freeze_phase(phase, keep_after=True)
             self._run_phase(phase)
         end = max(machine.core_clocks) if machine.core_clocks else 0.0
         stats = collect_stats(machine, end)
@@ -171,12 +169,7 @@ class BspExecutor:
         self.barriers += 1
         obs = self._obs
         if obs.active:
-            # Emitted before phase.after so subscribers (the barrier
-            # invariant checker) observe the machine at the release
-            # point, not after the phase's verification hook ran.
             obs.emit(ObsEvent(release, EV_BARRIER, detail=phase.name))
-        if phase.after is not None:
-            phase.after(machine)
 
     def _dequeue(self, cluster, local: int, core: int, index: int,
                  now: float) -> float:

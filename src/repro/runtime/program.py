@@ -27,17 +27,17 @@ the workload builder again -- the expected-value table, the ordered
 allocation log (replayed through the real allocation API so address
 assignment *and* its protocol side effects, e.g. ``coh_malloc``'s
 region conversion under Cohesion, are reproduced exactly), and the
-initial backing-store image for ``track_data`` machines. The executor
-consumes the frozen form directly; :func:`freeze_phase` is also how it
-compiles plain phases at run time.
+initial backing-store image for ``track_data`` machines. The frozen form
+is the only one the executor runs, the program store keeps and the
+analyzer reads; :meth:`Program.freeze` is the one place a plain program
+becomes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.errors import FreezeError
 from repro.mem.address import LINE_SHIFT
 from repro.types import OP_WB
 
@@ -45,7 +45,7 @@ Op = Tuple[int, ...]
 
 #: Bumped whenever the frozen layout changes incompatibly; stored in
 #: every artifact and checked on load.
-FROZEN_FORMAT = 3
+FROZEN_FORMAT = 4
 
 
 @dataclass
@@ -58,10 +58,6 @@ class Task:
     stack_words: int = 8
     """Private-stack words the executor touches as the task's frame."""
 
-    @property
-    def op_count(self) -> int:
-        return len(self.ops)
-
 
 @dataclass
 class Phase:
@@ -72,13 +68,6 @@ class Phase:
     code_addr: int = 0
     code_lines: int = 4
     """Kernel-code footprint fetched (once per cold L1I) by each core."""
-    after: Optional[Callable[[object], None]] = None
-    """Host action run (on core 0) after this phase's barrier releases --
-    e.g. a runtime step that re-maps coherence domains between phases."""
-
-    @property
-    def total_ops(self) -> int:
-        return sum(task.op_count for task in self.tasks)
 
 
 @dataclass
@@ -93,37 +82,17 @@ class Program:
     ``track_data`` run to audit memory against the program's logical
     data flow."""
 
-    @property
-    def total_tasks(self) -> int:
-        return sum(len(phase.tasks) for phase in self.phases)
-
-    @property
-    def total_ops(self) -> int:
-        return sum(phase.total_ops for phase in self.phases)
-
     def freeze(self) -> "FrozenProgram":
-        """Compile to the compact :class:`FrozenProgram` form.
-
-        Raises :class:`~repro.errors.FreezeError` when any phase has an
-        ``after`` callback -- arbitrary callables have no on-disk form.
-        (The executor compiles such phases in-process with
-        :func:`freeze_phase`, which can keep the callback.)
-        """
-        for phase in self.phases:
-            if phase.after is not None:
-                raise FreezeError(
-                    f"phase {phase.name!r} has an 'after' callback; "
-                    "host callables cannot be frozen to disk")
+        """Compile to the compact :class:`FrozenProgram` form."""
         return FrozenProgram(
             name=self.name,
             phases=[freeze_phase(phase) for phase in self.phases],
             expected=dict(self.expected))
 
 
-def freeze_phase(phase: Phase, keep_after: bool = False) -> "FrozenPhase":
+def freeze_phase(phase: Phase) -> "FrozenPhase":
     """Compile one phase: fuse each task's ops with its flush WBs into a
-    single flat array with per-task bounds. ``keep_after`` carries the
-    host callback through for in-process execution (never to disk)."""
+    single flat array with per-task bounds."""
     ops: List[Op] = []
     bounds = [0]
     flush_lines: List[Tuple[int, ...]] = []
@@ -141,8 +110,7 @@ def freeze_phase(phase: Phase, keep_after: bool = False) -> "FrozenPhase":
         name=phase.name, code_addr=phase.code_addr,
         code_lines=phase.code_lines, ops=ops, bounds=bounds,
         flush_lines=flush_lines, input_lines=input_lines,
-        stack_words=stack_words,
-        after=phase.after if keep_after else None)
+        stack_words=stack_words)
 
 
 @dataclass
@@ -151,7 +119,7 @@ class FrozenPhase:
 
     Task ``i`` owns ``ops[bounds[i]:bounds[i+1]]``; the tail
     ``len(flush_lines[i])`` entries of that span are the fused eager
-    flush WBs, so :meth:`task_ops` can recover the original stream.
+    flush WBs.
     """
 
     name: str
@@ -162,8 +130,6 @@ class FrozenPhase:
     flush_lines: List[Tuple[int, ...]]
     input_lines: List[Tuple[int, ...]]
     stack_words: List[int]
-    after: Optional[Callable[[object], None]] = None
-    """In-process only; always ``None`` in artifacts written to disk."""
 
     @property
     def n_tasks(self) -> int:
@@ -173,11 +139,6 @@ class FrozenPhase:
     def total_ops(self) -> int:
         return sum(self.bounds[i + 1] - self.bounds[i]
                    - len(self.flush_lines[i]) for i in range(self.n_tasks))
-
-    def task_ops(self, index: int) -> List[Op]:
-        """The original (unfused) op stream of task ``index``."""
-        end = self.bounds[index + 1] - len(self.flush_lines[index])
-        return list(self.ops[self.bounds[index]:end])
 
 
 @dataclass
@@ -189,9 +150,10 @@ class FrozenProgram:
     allocation API reproduces both the addresses and the protocol side
     effects of building (``coh_malloc`` converts its region to SWcc
     under Cohesion, advancing the issuing core's clock and touching the
-    fine table) -- which is what keeps a thawed run bit-identical to a
-    built one. ``initial_memory`` is the post-build backing-store image
-    (word address -> value) on ``track_data`` machines, empty otherwise.
+    fine table) -- which is what keeps a run from a stored artifact
+    bit-identical to one from a fresh build. ``initial_memory`` is the
+    post-build backing-store image (word address -> value) on
+    ``track_data`` machines, empty otherwise.
     """
 
     name: str
@@ -202,27 +164,8 @@ class FrozenProgram:
     format: int = FROZEN_FORMAT
 
     @property
-    def total_tasks(self) -> int:
-        return sum(phase.n_tasks for phase in self.phases)
-
-    @property
     def total_ops(self) -> int:
         return sum(phase.total_ops for phase in self.phases)
-
-    def thaw(self) -> Program:
-        """Reconstruct an equivalent mutable :class:`Program`."""
-        phases = []
-        for fp in self.phases:
-            tasks = [Task(ops=fp.task_ops(i),
-                          flush_lines=list(fp.flush_lines[i]),
-                          input_lines=list(fp.input_lines[i]),
-                          stack_words=fp.stack_words[i])
-                     for i in range(fp.n_tasks)]
-            phases.append(Phase(name=fp.name, tasks=tasks,
-                                code_addr=fp.code_addr,
-                                code_lines=fp.code_lines, after=fp.after))
-        return Program(name=self.name, phases=phases,
-                       expected=dict(self.expected))
 
     def apply_to(self, machine) -> None:
         """Replay build-time machine side effects onto a fresh machine.

@@ -1,7 +1,8 @@
 """Operational knobs of the ``repro serve`` job server.
 
 Every knob has a ``REPRO_SERVE_*`` environment variable and a CLI flag;
-flags win. Malformed values raise a
+flags win. The drain grace period and the request-body cap are fixed
+module constants. Malformed values raise a
 :class:`~repro.errors.SimulationError` naming the variable and its
 accepted range, matching the house style of ``REPRO_JOBS``/``REPRO_*``
 validation elsewhere.
@@ -20,7 +21,10 @@ DEFAULT_PORT = 8642
 
 #: Hard cap on one request body (decoded JSON submissions are small;
 #: anything bigger is a client bug or abuse).
-DEFAULT_MAX_BODY = 1 << 20
+MAX_BODY = 1 << 20
+
+#: Grace period, in seconds, for in-flight jobs on SIGTERM.
+DRAIN_GRACE_S = 30.0
 
 
 def _env_int(name: str, default: int, minimum: int = 0) -> int:
@@ -71,10 +75,6 @@ class ServeConfig:
     queue_limit: int = 64
     #: Per-job execution timeout in seconds (``REPRO_SERVE_TIMEOUT``).
     timeout_s: float = 300.0
-    #: Grace period for in-flight jobs on SIGTERM (``REPRO_SERVE_DRAIN``).
-    drain_s: float = 30.0
-    #: Request body cap in bytes (``REPRO_SERVE_MAX_BODY``).
-    max_body: int = DEFAULT_MAX_BODY
 
     def validate(self) -> "ServeConfig":
         """Re-check after CLI flag overrides (env values are checked on
@@ -104,7 +104,4 @@ class ServeConfig:
             jobs=_env_int("REPRO_SERVE_JOBS", 0),
             queue_limit=_env_int("REPRO_SERVE_QUEUE", 64, minimum=1),
             timeout_s=_env_float("REPRO_SERVE_TIMEOUT", 300.0),
-            drain_s=_env_float("REPRO_SERVE_DRAIN", 30.0),
-            max_body=_env_int("REPRO_SERVE_MAX_BODY", DEFAULT_MAX_BODY,
-                              minimum=1024),
         )

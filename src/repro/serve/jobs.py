@@ -42,10 +42,8 @@ from typing import Optional
 from repro.analysis.parallel import Cell, _run_cell
 from repro.errors import ReproError
 from repro.pool import WorkerPool, resolve_jobs
-from repro.serve.config import ServeConfig
-from repro.serve.metrics import (SV_COALESCED, SV_DRAIN, SV_EXEC, SV_FAIL,
-                                 SV_HIT, SV_SHED, SV_SUBMIT, SV_TIMEOUT,
-                                 ServeMetrics)
+from repro.serve.config import DRAIN_GRACE_S, ServeConfig
+from repro.serve.metrics import ServeMetrics
 from repro.serve.singleflight import SingleFlight
 
 
@@ -124,15 +122,14 @@ class JobManager:
         start = time.perf_counter()
         if self.draining:
             raise Draining("server is draining; resubmit elsewhere/later")
-        self.metrics.count("submitted", SV_SUBMIT)
+        self.metrics.counters["submitted"] += 1
 
         fingerprint = self.cache.fingerprint(cell) if self.cache else None
         if fingerprint is not None:
             stats = self.cache.get(cell)
             if stats is not None:
                 latency = _ms_since(start)
-                self.metrics.count("hits", SV_HIT, fingerprint,
-                                   latency_ms=latency)
+                self.metrics.counters["hits"] += 1
                 self.metrics.hit_latency.observe(latency)
                 return JobOutcome("hit", stats, fingerprint, latency)
 
@@ -145,12 +142,10 @@ class JobManager:
             fingerprint, lambda: self._lead(cell))
         latency = _ms_since(start)
         if led:
-            self.metrics.count("executed", SV_EXEC, fingerprint,
-                               latency_ms=latency)
+            self.metrics.counters["executed"] += 1
             self.metrics.exec_latency.observe(latency)
             return JobOutcome("executed", stats, fingerprint, latency)
-        self.metrics.count("coalesced", SV_COALESCED, fingerprint,
-                           latency_ms=latency)
+        self.metrics.counters["coalesced"] += 1
         return JobOutcome("coalesced", stats, fingerprint, latency)
 
     async def _lead(self, cell: Cell):
@@ -167,7 +162,7 @@ class JobManager:
     # -- admission + execution --------------------------------------------
     async def _admit_and_run(self, cell: Cell):
         if self.metrics.active >= self.config.queue_limit:
-            self.metrics.count("shed", SV_SHED, detail=cell.label)
+            self.metrics.counters["shed"] += 1
             raise Overloaded(
                 f"admission queue full ({self.config.queue_limit} active "
                 f"job(s)); resubmit with backoff")
@@ -186,13 +181,13 @@ class JobManager:
             return await asyncio.wait_for(self.runner.run(_run_cell, cell),
                                           self.config.timeout_s)
         except asyncio.TimeoutError:
-            self.metrics.count("timeouts", SV_TIMEOUT, detail=cell.label)
+            self.metrics.counters["timeouts"] += 1
             raise JobTimeout(
                 f"cell {cell.label!r} exceeded "
                 f"{self.config.timeout_s:g}s (the worker process may "
                 f"still be finishing; its result is discarded)") from None
         except Exception as err:
-            self.metrics.count("failed", SV_FAIL, detail=str(err))
+            self.metrics.counters["failed"] += 1
             raise JobFailed(
                 f"cell {cell.label!r} failed: "
                 f"{type(err).__name__}: {err}") from err
@@ -208,8 +203,8 @@ class JobManager:
         """
         if not self.draining:
             self.draining = True
-            self.metrics.count("drained", SV_DRAIN)
-        grace = self.config.drain_s if timeout_s is None else timeout_s
+            self.metrics.counters["drained"] += 1
+        grace = DRAIN_GRACE_S if timeout_s is None else timeout_s
         try:
             await asyncio.wait_for(self._idle.wait(), grace)
             clean = True

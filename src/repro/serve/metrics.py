@@ -1,37 +1,14 @@
-"""Server-side observability: counters, gauges, latency histogram, bus.
+"""Server-side observability: counters, gauges, latency histograms.
 
-The job server reuses the simulator's :class:`~repro.obs.bus.EventBus`
-as its announcement channel -- the bus is deliberately generic (kind
-strings + one record shape), so server lifecycle events ride the same
-subscribe/unsubscribe machinery tests and tools already know. Server
-kinds are namespaced ``serve_*`` and never appear on a machine's bus.
-
-Event fields repurposed for the server: ``time`` is wall-clock seconds
-(``time.time()`` -- this is host tooling, not simulated state), ``dur``
-is the job latency in milliseconds where meaningful, and ``detail``
-carries the cell fingerprint (or the failure reason for error kinds).
+``GET /stats`` serves :meth:`ServeMetrics.as_dict`; uptime is
+wall-clock seconds (``time.time()`` -- this is host tooling, not
+simulated state).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
-
-from repro.obs.bus import EventBus, ObsEvent
-
-# -- server event taxonomy ---------------------------------------------------
-SV_SUBMIT = "serve_submit"        # a cell submission was accepted for triage
-SV_HIT = "serve_hit"              # answered from the warm result cache
-SV_COALESCED = "serve_coalesced"  # joined an identical in-flight job
-SV_EXEC = "serve_exec"            # a leader finished a real execution
-SV_SHED = "serve_shed"            # admission queue full; job rejected
-SV_TIMEOUT = "serve_timeout"      # per-job timeout elapsed
-SV_FAIL = "serve_fail"            # job raised (simulation/worker error)
-SV_DRAIN = "serve_drain"          # drain started (SIGTERM / stop)
-
-ALL_SERVE_KINDS: Tuple[str, ...] = (
-    SV_SUBMIT, SV_HIT, SV_COALESCED, SV_EXEC, SV_SHED, SV_TIMEOUT,
-    SV_FAIL, SV_DRAIN)
+from typing import Dict, List, Tuple
 
 #: Upper bucket bounds of the latency histogram, in milliseconds. The
 #: first buckets are tight because warm hits are specified in single
@@ -75,10 +52,9 @@ class LatencyHistogram:
 
 
 class ServeMetrics:
-    """Live counters + gauges of one server instance, bus included."""
+    """Live counters + gauges of one server instance."""
 
-    def __init__(self, bus: Optional[EventBus] = None) -> None:
-        self.bus = bus if bus is not None else EventBus()
+    def __init__(self) -> None:
         self.started_at = time.time()
         self.counters: Dict[str, int] = {
             "submitted": 0, "hits": 0, "coalesced": 0, "executed": 0,
@@ -93,15 +69,6 @@ class ServeMetrics:
         # executions in seconds -- one mixed histogram would hide both.
         self.hit_latency = LatencyHistogram()
         self.exec_latency = LatencyHistogram()
-
-    def count(self, name: str, kind: str, fingerprint: Optional[str] = None,
-              latency_ms: float = 0.0, detail: str = "") -> None:
-        """Bump ``name`` and announce ``kind`` on the bus."""
-        self.counters[name] += 1
-        bus = self.bus
-        if bus.active:
-            bus.emit(ObsEvent(time.time(), kind, dur=latency_ms,
-                              detail=detail or (fingerprint or "")))
 
     @property
     def hit_rate(self) -> float:

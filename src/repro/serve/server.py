@@ -16,8 +16,9 @@ answers with that cell's own status so curl-level scripting can branch
 on the code alone.
 
 Shutdown: SIGTERM/SIGINT stop the listener, drain in-flight jobs up to
-the grace period (``REPRO_SERVE_DRAIN``), then close. Submissions
-arriving mid-drain get 503 and a ``Retry-After`` hint.
+the grace period (:data:`~repro.serve.config.DRAIN_GRACE_S`), then
+close. Submissions arriving mid-drain get 503 and a ``Retry-After``
+hint.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import signal
 import sys
 from typing import Optional, Tuple
 
-from repro.serve.config import ServeConfig
+from repro.serve.config import DRAIN_GRACE_S, MAX_BODY, ServeConfig
 from repro.serve.jobs import JobManager, ServeError
 from repro.serve.wire import (WIRE_SCHEMA, WireError, decode_cell,
                               encode_record, submission_cells)
@@ -107,7 +108,7 @@ class ReproServer:
     async def _on_signal(self, signum: int) -> None:
         name = signal.Signals(signum).name
         print(f"serve: {name} received; draining "
-              f"(grace {self.config.drain_s:g}s)", file=sys.stderr,
+              f"(grace {DRAIN_GRACE_S:g}s)", file=sys.stderr,
               flush=True)
         clean = await self.stop(drain=True)
         print(f"serve: drained {'cleanly' if clean else 'with jobs left'}; "
@@ -169,10 +170,10 @@ class ReproServer:
             raise _BadRequest(400, "too many headers")
         if content_length < 0:
             raise _BadRequest(400, "bad Content-Length")
-        if content_length > self.config.max_body:
+        if content_length > MAX_BODY:
             raise _BadRequest(
                 413, f"body of {content_length} bytes exceeds the "
-                     f"{self.config.max_body}-byte limit")
+                     f"{MAX_BODY}-byte limit")
         body = (await reader.readexactly(content_length)
                 if content_length else b"")
         return method, path, body

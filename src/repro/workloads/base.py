@@ -295,10 +295,10 @@ class Workload(abc.ABC):
     def sketch(self) -> TaskSketch:
         return TaskSketch(self)
 
-    def phase(self, name: str, tasks: Sequence[Task], code_lines: Optional[int] = None,
-              after: Optional[Callable] = None) -> Phase:
+    def phase(self, name: str, tasks: Sequence[Task],
+              code_lines: Optional[int] = None) -> Phase:
         return Phase(name=name, tasks=list(tasks), code_addr=self.code_addr,
-                     code_lines=code_lines or self.code_lines, after=after)
+                     code_lines=code_lines or self.code_lines)
 
     def program(self, phases: Sequence[Phase]) -> Program:
         return Program(name=self.name, phases=list(phases))

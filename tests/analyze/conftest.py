@@ -17,9 +17,9 @@ def task(ops, flushes=(), inputs=()):
                 input_lines=list(inputs), stack_words=0)
 
 
-def phase(name, *tasks, after=None):
+def phase(name, *tasks):
     """A phase with no kernel-code footprint (nothing to ifetch)."""
-    return Phase(name=name, tasks=list(tasks), code_lines=0, after=after)
+    return Phase(name=name, tasks=list(tasks), code_lines=0)
 
 
 def program(*phases, name="synthetic"):
@@ -33,7 +33,7 @@ def rule_ids(report):
 
 def analyze_on(machine, prog, rules=None):
     """Analyze ``prog`` against the domains ``machine`` boots with."""
-    return analyze_frozen(prog, kind=machine.policy.kind,
+    return analyze_frozen(prog.freeze(), kind=machine.policy.kind,
                           layout=machine.layout, rules=rules)
 
 

@@ -14,8 +14,7 @@ import random
 import pytest
 
 from repro import Policy
-from repro.analyze import (Diagnostic, Severity, analyze_frozen,
-                           run_with_oracles, watched_lines)
+from repro.analyze import analyze_frozen, run_with_oracles, watched_lines
 from repro.mem.address import line_of
 from repro.runtime.program import Phase, Program, Task
 from repro.types import OP_ATOMIC, OP_COMPUTE, OP_LOAD, OP_STORE, PolicyKind
@@ -148,18 +147,6 @@ class TestTruePositives:
         assert run.confirms(diag)
         assert not run.protocol_broken
 
-    def test_coh010_has_no_dynamic_oracle(self):
-        # COH010 predicts what a hypothetical schedule would break; a
-        # run of the unmodified program cannot confirm it.
-        machine, addr, line = swcc_setup(value=5)
-        prog = program(phase("w", task([(OP_STORE, addr, 7)],
-                                       flushes=[line])))
-        diag = Diagnostic(rule="COH010", severity=Severity.ERROR,
-                          message="to_hwcc scheduled at barrier 0 is unsafe",
-                          phase=0, phase_name="w", task=0, line=line)
-        run = run_with_oracles(machine, prog, watch=[line])
-        assert not run.confirms(diag)
-
 
 class TestCleanControl:
     def test_correct_program_runs_clean(self):
@@ -243,7 +230,7 @@ class TestSeededBulkCrossval:
     def test_disciplined_programs_run_clean(self, seed):
         rng = random.Random(seed)
         prog, shadow = _disciplined_program(rng, corrupt=False)
-        analysis = analyze_frozen(prog, kind=PolicyKind.SWCC,
+        analysis = analyze_frozen(prog.freeze(), kind=PolicyKind.SWCC,
                                   domain=swcc_domain())
         assert analysis.errors == [], analysis.format()
         prog.expected = dict(shadow)
@@ -260,7 +247,7 @@ class TestSeededBulkCrossval:
         # to break at this scale, so it is not run.
         rng = random.Random(1000 + seed)
         prog, shadow = _disciplined_program(rng, corrupt=True)
-        analysis = analyze_frozen(prog, kind=PolicyKind.SWCC,
+        analysis = analyze_frozen(prog.freeze(), kind=PolicyKind.SWCC,
                                   domain=swcc_domain(),
                                   rules=CORRECTNESS_RULES)
         # The reader-side dual agrees with COH002 on cleanliness.

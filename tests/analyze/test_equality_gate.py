@@ -1,9 +1,8 @@
 """Artifact gate: the report is the same whatever form the program takes.
 
-The analyzer meets a program in three forms: a live ``Program`` frozen
-in memory (``ensure_frozen``, which keeps ``Phase.after`` hooks), the
-artifact ``Program.freeze()`` builds for the executor and the cache, and
-that artifact written to disk and loaded back with no machine
+The analyzer meets a program in two forms: the artifact
+``Program.freeze()`` builds for the executor and the cache, and that
+artifact written to disk and loaded back with no machine
 (``repro analyze --artifact``). Exact agreement -- same rules, same
 sites, same messages, same order, same text and JSON -- over every
 shipped kernel under every policy, and over seeded corrupted programs
@@ -46,7 +45,7 @@ def test_kernel_reports_identical(name, policy_name, tmp_path):
     assert offline.to_json() == analysis.to_json()
     assert analysis.clean
     # The whole-program rules find nothing on disciplined kernels.
-    for rule_id in ("COH007", "COH008", "COH009", "COH010"):
+    for rule_id in ("COH007", "COH008", "COH009"):
         assert analysis.summary[rule_id] == 0
     assert analysis.summary["ops"] == frozen.total_ops
     assert analysis.notes == []
@@ -91,26 +90,26 @@ def _random_program(seed: int) -> Program:
     return Program(name=f"fuzz{seed}", phases=phases)
 
 
-def _three_forms(prog, tmp_path, **kwargs):
+def _both_forms(prog, tmp_path, **kwargs):
     domain = swcc_domain()
+    frozen = prog.freeze()
     return [analyze_frozen(form, kind=PolicyKind.SWCC, domain=domain,
                            **kwargs)
-            for form in (prog, prog.freeze(),
-                         _reloaded(prog.freeze(), tmp_path))]
+            for form in (frozen, _reloaded(frozen, tmp_path))]
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_corrupted_programs_report_identical(seed, tmp_path):
-    live, frozen, offline = _three_forms(_random_program(seed), tmp_path)
-    assert diag_tuples(live) == diag_tuples(frozen) == diag_tuples(offline)
-    assert live.to_json() == frozen.to_json() == offline.to_json()
+    frozen, offline = _both_forms(_random_program(seed), tmp_path)
+    assert diag_tuples(frozen) == diag_tuples(offline)
+    assert frozen.to_json() == offline.to_json()
 
 
 def test_truncation_agrees(monkeypatch, tmp_path):
     # Every form cuts at the per-rule cap identically.
     monkeypatch.setattr(analyze_rules, "MAX_DIAGNOSTICS_PER_RULE", 2)
-    live, frozen, offline = _three_forms(_random_program(7), tmp_path,
-                                         rules=SHARED_RULES)
-    assert diag_tuples(live) == diag_tuples(frozen) == diag_tuples(offline)
-    per_rule = [d.rule for d in live.diagnostics]
+    frozen, offline = _both_forms(_random_program(7), tmp_path,
+                                  rules=SHARED_RULES)
+    assert diag_tuples(frozen) == diag_tuples(offline)
+    per_rule = [d.rule for d in frozen.diagnostics]
     assert max(per_rule.count(rule) for rule in set(per_rule)) == 2

@@ -7,9 +7,8 @@ import pytest
 
 from repro import Policy
 from repro.analyze import (ANALYZE_RULE_IDS, DomainModel, Severity,
-                           Transition, analyze_frozen)
+                           analyze_frozen)
 from repro.analyze import rules as analyze_rules
-from repro.analyze.ir import FULL_LINE_MASK, WORDS_PER_LINE, AnalysisIR
 from repro.mem.address import WORD_BYTES, line_of
 from repro.types import (OP_ATOMIC, OP_INV, OP_LOAD, OP_STORE, OP_WB,
                          PolicyKind)
@@ -23,10 +22,9 @@ ADDR = 0x4000_0000
 LINE = ADDR >> 5
 
 
-def analyze(prog, rules=None, schedule=()):
+def analyze(prog, rules=None):
     return analyze_frozen(prog.freeze(), kind=PolicyKind.SWCC,
-                          domain=swcc_domain(), rules=rules,
-                          schedule=schedule)
+                          domain=swcc_domain(), rules=rules)
 
 
 class TestCOH001MissingFlush:
@@ -292,24 +290,6 @@ class TestFramework:
         assert report.clean and report.program == "synthetic"
         assert report.rules_run == list(ANALYZE_RULE_IDS)
 
-    def test_after_hooks_analyzed_with_note(self):
-        # Program.freeze refuses host callbacks; the analyzer freezes in
-        # memory instead and notes that the hooks may re-map domains.
-        machine, sw_addr, _hw = cohesion_setup()
-        line = line_of(sw_addr)
-        prog = program(
-            phase("produce", task([(OP_STORE, sw_addr, 7)]),
-                  after=lambda machine: None),
-            phase("consume", task([(OP_LOAD, sw_addr)], inputs=[line])))
-        report = analyze_on(machine, prog)
-        assert rule_ids(report) == ["COH001"]
-        [diag] = report.diagnostics
-        assert diag.phase == 0 and diag.line == line
-        assert report.notes == [
-            "program has Phase.after hooks; if they re-map coherence "
-            "domains at runtime the static domain model only reflects the "
-            "boot-time region tables"]
-
     def test_rule_selection(self):
         machine, addr, line = swcc_setup()
         prog = program(
@@ -335,7 +315,8 @@ class TestFramework:
             phase("consume", task([(OP_LOAD, 0x2000_0000)],
                                   inputs=[line_of(0x2000_0000)])))
         domain = DomainModel(PolicyKind.SWCC)
-        assert rule_ids(analyze_frozen(prog, domain=domain)) == ["COH001"]
+        assert rule_ids(analyze_frozen(prog.freeze(), domain=domain)) == [
+            "COH001"]
 
     def test_report_text_and_json(self):
         machine, addr, line = swcc_setup()
@@ -483,63 +464,3 @@ class TestCOH009UselessInvalidate:
         prog = program(phase("p", task(ops, inputs=[LINE])))
         assert analyze(prog, rules=["COH009"]).clean
 
-
-class TestCOH010UnsafeTransition:
-    TO_HW = Transition(phase=0, action="to_hwcc", base=ADDR, size=64)
-
-    def test_unflushed_dirty_copy_flagged(self):
-        prog = program(phase("w", task([(OP_STORE, ADDR, 1)])))
-        report = analyze(prog, rules=["COH010"], schedule=[self.TO_HW])
-        [diag] = report.diagnostics
-        assert diag.severity is Severity.ERROR
-        assert "unflushed-dirty" in diag.message and diag.line == LINE
-
-    def test_partial_valid_copy_flagged(self):
-        # Flushed, but store-allocated without a full-line fill: only
-        # the SWcc per-word masks can express word-wise validity.
-        prog = program(phase("w", task([(OP_STORE, ADDR, 1)],
-                                       flushes=[LINE])))
-        report = analyze(prog, rules=["COH010"], schedule=[self.TO_HW])
-        [diag] = report.diagnostics
-        assert "partial-valid" in diag.message
-
-    def test_flushed_and_invalidated_copy_is_safe(self):
-        prog = program(phase("w", task([(OP_STORE, ADDR, 1)],
-                                       flushes=[LINE], inputs=[LINE])))
-        assert analyze(prog, rules=["COH010"],
-                       schedule=[self.TO_HW]).clean
-
-    def test_full_line_store_is_safe_once_flushed(self):
-        ops = [(OP_STORE, ADDR + WORD_BYTES * w, w)
-               for w in range(WORDS_PER_LINE)]
-        prog = program(phase("w", task(ops, flushes=[LINE])))
-        ir = AnalysisIR.of_frozen(prog.freeze())
-        assert ir.tasks[0].stores[LINE] == FULL_LINE_MASK
-        assert analyze(prog, rules=["COH010"],
-                       schedule=[self.TO_HW]).clean
-
-    def test_later_store_not_audited(self):
-        # Only tasks at or before the transition barrier can leave a
-        # copy behind; later phases run with the region already HWcc.
-        prog = program(
-            phase("idle", task([(OP_LOAD, ADDR + 64)])),
-            phase("w", task([(OP_STORE, ADDR, 1)])))
-        schedule = [Transition(phase=0, action="to_hwcc",
-                               base=ADDR, size=64)]
-        assert analyze(prog, rules=["COH010"], schedule=schedule).clean
-
-    def test_to_swcc_never_flagged(self):
-        prog = program(phase("w", task([(OP_STORE, ADDR, 1)])))
-        schedule = [Transition(phase=0, action="to_swcc",
-                               base=ADDR, size=64)]
-        assert analyze(prog, rules=["COH010"], schedule=schedule).clean
-
-    def test_no_schedule_is_vacuous(self):
-        prog = program(phase("w", task([(OP_STORE, ADDR, 1)])))
-        assert analyze(prog, rules=["COH010"]).clean
-
-    def test_other_region_unaffected(self):
-        far = Transition(phase=0, action="to_hwcc",
-                         base=ADDR + 0x1000, size=64)
-        prog = program(phase("w", task([(OP_STORE, ADDR, 1)])))
-        assert analyze(prog, rules=["COH010"], schedule=[far]).clean

@@ -1,11 +1,9 @@
-"""Program.freeze()/thaw() and the compiled-artifact store (level 1)."""
+"""Program.freeze() and the compiled-artifact store (level 1)."""
 
 import pickle
 
-import pytest
-
 from repro import Policy
-from repro.errors import FreezeError
+from repro.mem.address import LINE_SHIFT
 from repro.runtime.program import (FROZEN_FORMAT, FrozenProgram, Phase,
                                    Program, Task, freeze_phase)
 from repro.types import OP_LOAD, OP_STORE, OP_WB
@@ -25,20 +23,23 @@ def _program(n_tasks=3):
 
 
 class TestFreezeThaw:
-    def test_round_trip_preserves_tasks(self):
+    def test_task_slices_hold_ops_and_fused_wbs(self):
         program = _program()
-        thawed = program.freeze().thaw()
-        assert thawed.name == program.name
-        assert thawed.expected == program.expected
-        for old_phase, new_phase in zip(program.phases, thawed.phases):
-            assert new_phase.name == old_phase.name
-            assert new_phase.code_addr == old_phase.code_addr
-            assert new_phase.code_lines == old_phase.code_lines
-            for old_task, new_task in zip(old_phase.tasks, new_phase.tasks):
-                assert list(new_task.ops) == list(old_task.ops)
-                assert list(new_task.flush_lines) == list(old_task.flush_lines)
-                assert list(new_task.input_lines) == list(old_task.input_lines)
-                assert new_task.stack_words == old_task.stack_words
+        frozen = program.freeze()
+        assert frozen.name == program.name
+        assert frozen.expected == program.expected
+        for phase, fp in zip(program.phases, frozen.phases):
+            assert (fp.name, fp.code_addr, fp.code_lines) == \
+                (phase.name, phase.code_addr, phase.code_lines)
+            assert fp.n_tasks == len(phase.tasks)
+            for i, task in enumerate(phase.tasks):
+                wbs = [(OP_WB, line << LINE_SHIFT)
+                       for line in task.flush_lines]
+                assert fp.ops[fp.bounds[i]:fp.bounds[i + 1]] == \
+                    list(task.ops) + wbs
+                assert fp.flush_lines[i] == tuple(task.flush_lines)
+                assert fp.input_lines[i] == tuple(task.input_lines)
+                assert fp.stack_words[i] == task.stack_words
 
     def test_flush_wbs_fused_into_flat_ops(self):
         frozen_phase = freeze_phase(_program().phases[0])
@@ -48,13 +49,8 @@ class TestFreezeThaw:
             tail = frozen_phase.ops[lo:hi][-len(frozen_phase.flush_lines[i]):]
             assert all(kind == OP_WB for kind, _ in tail)
 
-    def test_after_hook_refuses_to_freeze(self):
-        program = _program()
-        program.phases[0].after = lambda machine: None
-        with pytest.raises(FreezeError, match="after"):
-            program.freeze()
-
     def test_format_is_stamped(self):
+        assert FROZEN_FORMAT == 4
         assert _program().freeze().format == FROZEN_FORMAT
 
     def test_frozen_runs_identically_to_plain(self):
@@ -148,7 +144,7 @@ class TestProgramStore:
         self._run(cache_dir)
         [path] = (cache_dir / "programs").rglob("*.pkl")
         payload = pickle.loads(path.read_bytes())
-        payload["frozen"].format = FROZEN_FORMAT - 1
+        payload["frozen"].format = 3
         path.write_bytes(pickle.dumps(payload))
         PROGRAM_STATS.reset()
         rebuilt = self._run(cache_dir)
@@ -165,4 +161,5 @@ class TestProgramStore:
             payload = pickle.load(fh)
         frozen = payload["frozen"]
         assert isinstance(frozen, FrozenProgram)
-        assert all(phase.after is None for phase in frozen.phases)
+        assert not any(callable(value) for phase in frozen.phases
+                       for value in vars(phase).values())

@@ -112,17 +112,15 @@ class TestVerifyClassification:
 
     def test_older_frozen_format_is_corrupt(self, populated):
         from repro.cache.programs import ProgramStore
-        from repro.runtime.program import FROZEN_FORMAT
 
         def downgrade(payload):
-            payload["frozen"].format = FROZEN_FORMAT - 1
+            payload["frozen"].format = 3
 
         key = self._rewrite_program(populated, downgrade)
         assert ProgramStore(populated).load(key) is None
         report = verify_cache(populated)
         assert len(report.corrupt) == 1 and not report.unreadable
-        assert (f"frozen format {FROZEN_FORMAT - 1} is not {FROZEN_FORMAT}"
-                in report.corrupt[0])
+        assert "frozen format 3 is not 4" in report.corrupt[0]
 
     def test_problems_lists_unreadable_first(self):
         report = VerifyReport(corrupt=["c"], unreadable=["u"])

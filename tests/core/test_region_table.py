@@ -1,5 +1,7 @@
 """Coarse- and fine-grain region tables."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,11 +25,13 @@ class TestCoarseRegionTable:
         assert table.lookup_line(0x1000 >> 5)
         assert not table.lookup_line((0x2000 >> 5))
 
-    def test_invalid_entries_ignored(self):
+    def test_regions_are_frozen_records(self):
         table = CoarseRegionTable()
-        region = table.add(0x1000, 0x1000)
-        region.valid = False
-        assert not table.lookup(0x1800)
+        region = table.add(0x1000, 0x1000, name="code")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            region.start = 0x2000
+        assert (region.start, region.end, region.name) == \
+            (0x1000, 0x2000, "code")
 
     def test_alignment_required(self):
         table = CoarseRegionTable()
@@ -56,14 +60,6 @@ class TestCoarseRegionTable:
         table.add(0x2000, 0x20)
         with pytest.raises(RegionError):
             table.add(0x3000, 0x20)
-
-    def test_remove(self):
-        table = CoarseRegionTable()
-        region = table.add(0x1000, 0x1000)
-        table.remove(region)
-        assert not table.lookup(0x1000)
-        with pytest.raises(RegionError):
-            table.remove(region)
 
     def test_iteration_and_len(self):
         table = CoarseRegionTable()

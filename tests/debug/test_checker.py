@@ -136,17 +136,21 @@ class TestReporting:
         assert checker.checks_run == 2
         assert len(checker.all_violations) >= 2
 
-    def test_usable_as_phase_hook(self):
+    def test_attached_checker_audits_each_barrier(self):
+        from repro.debug import attach_barrier_checker
         from repro.runtime.program import Phase, Program, Task
         from repro.types import OP_LOAD
 
         machine = make_machine(Policy.cohesion())
-        checker = InvariantChecker(machine)
-        program = Program("p", [Phase("x", [
-            Task(ops=[(OP_LOAD, HEAP)], stack_words=0)],
-            code_lines=0, after=checker.on_barrier)])
+        checker = attach_barrier_checker(machine, raise_on_violation=True)
+        program = Program("p", [
+            Phase(name, [Task(ops=[(OP_LOAD, HEAP)], stack_words=0)],
+                  code_lines=0) for name in ("x", "y")])
         machine.run(program)  # does not raise
-        assert checker.checks_run == 1
+        assert checker.checks_run == 2
+        checker.detach()
+        machine.run(program)
+        assert checker.checks_run == 2
 
     def test_violation_str(self):
         from repro.debug.checker import Violation

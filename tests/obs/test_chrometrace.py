@@ -14,7 +14,7 @@ def collected_run(max_events=500_000, workload="gjk"):
     exp = ExperimentConfig(n_clusters=1, scale=0.2)
     collector = None
 
-    def instrument(machine, program):
+    def instrument(machine):
         nonlocal collector
         collector = ChromeTraceCollector(machine, max_events=max_events)
 

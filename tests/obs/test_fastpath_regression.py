@@ -99,7 +99,7 @@ class TestWorkloadAggregate:
                                    ops_per_slice=ops_per_slice)
             tracer = LineTracer(max_events=2_000_000)
 
-            def instrument(machine, program):
+            def instrument(machine):
                 tracer.attach(machine)
                 # Bind the layout so we can drop per-core stack lines
                 # (task->core placement shifts with slice granularity).

@@ -97,7 +97,7 @@ def _run_with_registry(workload="gjk", policy=None, **exp_kw):
     exp = ExperimentConfig(n_clusters=1, scale=0.2, **exp_kw)
     registry = None
 
-    def instrument(machine, program):
+    def instrument(machine):
         nonlocal registry
         registry = MetricsRegistry(machine, interval=512.0)
 

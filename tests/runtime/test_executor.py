@@ -133,13 +133,6 @@ class TestOpDispatch:
         stats = hwcc_machine.run(program)
         assert stats.load_mismatches == []
 
-    def test_phase_after_hook_runs(self, cohesion_machine):
-        seen = []
-        program = simple_program(2)
-        program.phases[0].after = lambda machine: seen.append(machine)
-        cohesion_machine.run(program)
-        assert seen == [cohesion_machine]
-
     def test_ops_per_slice_does_not_change_results(self, hwcc_machine):
         from tests.conftest import make_machine
         results = []

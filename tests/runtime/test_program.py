@@ -1,6 +1,6 @@
 """Program/Phase/Task structures."""
 
-from repro.runtime.program import Phase, Program, Task
+from repro.runtime.program import Phase, Program, Task, freeze_phase
 from repro.types import OP_LOAD, OP_STORE
 
 
@@ -10,7 +10,6 @@ class TestTask:
         assert task.flush_lines == ()
         assert task.input_lines == ()
         assert task.stack_words == 8
-        assert task.op_count == 1
 
     def test_metadata_carried(self):
         task = Task(ops=[], flush_lines=[1, 2], input_lines=[3],
@@ -24,8 +23,7 @@ class TestPhase:
         tasks = [Task(ops=[(OP_LOAD, 0), (OP_STORE, 4)]),
                  Task(ops=[(OP_LOAD, 8)])]
         phase = Phase("p", tasks)
-        assert phase.total_ops == 3
-        assert phase.after is None
+        assert freeze_phase(phase).total_ops == 3
         assert phase.code_lines == 4
 
 
@@ -34,8 +32,9 @@ class TestProgram:
         phases = [Phase("a", [Task(ops=[(OP_LOAD, 0)])]),
                   Phase("b", [Task(ops=[]), Task(ops=[(OP_LOAD, 4)] * 3)])]
         program = Program("prog", phases)
-        assert program.total_tasks == 3
-        assert program.total_ops == 4
+        frozen = program.freeze()
+        assert sum(phase.n_tasks for phase in frozen.phases) == 3
+        assert frozen.total_ops == 4
         assert program.expected == {}
 
     def test_expected_is_per_instance(self):

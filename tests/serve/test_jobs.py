@@ -31,7 +31,7 @@ def _cell(label="gjk", **extra):
 
 
 def _config(**overrides):
-    base = dict(port=0, jobs=1, queue_limit=64, timeout_s=5.0, drain_s=5.0)
+    base = dict(port=0, jobs=1, queue_limit=64, timeout_s=5.0)
     base.update(overrides)
     return ServeConfig(**base)
 
@@ -298,18 +298,3 @@ class TestDrain:
 
         assert run(body()) is False
 
-
-class TestEventBus:
-    def test_lifecycle_events_ride_the_obs_bus(self, cache_dir):
-        from repro.serve.metrics import SV_EXEC, SV_HIT, SV_SUBMIT
-
-        from repro.analysis.parallel import _run_cell
-
-        stats = _run_cell(_cell())
-        jobs = JobManager(_config(), runner=FakeRunner(result=stats),
-                          cache=ResultCache())
-        kinds = []
-        jobs.metrics.bus.subscribe(lambda event: kinds.append(event.kind))
-        run(jobs.submit(_cell()))
-        run(jobs.submit(_cell()))
-        assert kinds == [SV_SUBMIT, SV_EXEC, SV_SUBMIT, SV_HIT]

@@ -19,7 +19,7 @@ TINY = {"workload": "gjk", "clusters": 2, "scale": 0.12}
 
 
 def _config(**overrides):
-    base = dict(port=0, jobs=2, queue_limit=8, timeout_s=60.0, drain_s=10.0)
+    base = dict(port=0, jobs=2, queue_limit=8, timeout_s=60.0)
     base.update(overrides)
     return ServeConfig(**base)
 

@@ -10,8 +10,8 @@ reference and require the machine to be gone at once.
 Because a run allocates no cycles either, :meth:`Machine.run` pauses
 the collector for the run's duration; the tests below also pin that
 pause: it is undone after a normal or a failed run, it leaves a
-collector the caller disabled alone, and no kernel's run leaves
-cyclic garbage behind.
+collector the caller disabled alone, and no kernel's build or run
+leaves cyclic garbage behind.
 """
 
 import gc
@@ -25,6 +25,7 @@ from repro.config import Policy
 from repro.errors import SimulationError
 from repro.mc import PRESETS, Action, SpecState, apply_action
 from repro.mc.presets import build_machine
+from repro.obs.bus import EV_BARRIER
 from repro.runtime.program import Phase, Program, Task
 from repro.types import OP_BARRIER, OP_LOAD
 from repro.workloads import ALL_WORKLOADS
@@ -86,11 +87,11 @@ def test_model_checker_machine_dies_on_del():
         assert repro_garbage() == []
 
 
-def _program(op=OP_LOAD, after=None):
+def _program(op=OP_LOAD):
     tasks = [Task(ops=[(OP_LOAD, HEAP + 0x1000 * t), (op, HEAP + 4)],
                   stack_words=2) for t in range(4)]
     return Program("lifetime", [Phase("p0", tasks, code_addr=0x10000,
-                                      code_lines=2, after=after)])
+                                      code_lines=2)])
 
 
 @contextmanager
@@ -108,9 +109,10 @@ class TestCollectorPause:
     def test_paused_during_run_and_enabled_after(self):
         during = []
         machine = make_machine(Policy.cohesion())
+        machine.obs.subscribe(lambda _event: during.append(gc.isenabled()),
+                              (EV_BARRIER,))
         with collector_enabled():
-            stats = machine.run(_program(
-                after=lambda _machine: during.append(gc.isenabled())))
+            stats = machine.run(_program())
             assert gc.isenabled()
         assert stats.tasks_executed == 4
         assert during == [False]
@@ -167,6 +169,34 @@ def test_run_leaves_no_cyclic_garbage(warmed_kernels, kernel, policy):
             gc.collect()
             found = list(gc.garbage)
             gc.garbage.clear()
+        finally:
+            gc.set_debug(flags)
+    assert found == []
+
+
+@pytest.mark.parametrize("policy", [Policy.swcc(), Policy.hwcc_real(),
+                                    Policy.cohesion()],
+                         ids=["swcc", "hwcc-real", "cohesion"])
+@pytest.mark.parametrize("kernel", ALL_WORKLOADS)
+def test_build_leaves_no_cyclic_garbage(warmed_kernels, kernel, policy,
+                                        monkeypatch):
+    """Building the machine and the program fresh (not from the program
+    store) leaves nothing for the collector either."""
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    found = []
+
+    def after_build(_machine):
+        gc.collect()
+        found.extend(gc.garbage)
+        gc.garbage.clear()
+
+    flags = gc.get_debug()
+    with collector_enabled():
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run_workload(kernel, policy, _EXP, instrument=after_build)
         finally:
             gc.set_debug(flags)
     assert found == []

@@ -205,56 +205,13 @@ class TestCommands:
         assert "| program | policy |" in text
         assert "| gjk | swcc | 0 | 0 | 0 | 0 |" in text
 
-    @staticmethod
-    def _unsafe_artifact(tmp_path):
-        """A one-phase artifact that leaves an unflushed dirty SWcc copy
-        of line ``0x4000_0000`` behind."""
-        from repro.cache import dump_artifact
-        from repro.runtime.program import Phase, Program, Task
-        from repro.types import OP_STORE
-
-        prog = Program(name="unsafe", phases=[Phase(
-            name="w", tasks=[Task(ops=[(OP_STORE, 0x4000_0000, 1)],
-                                  flush_lines=[], input_lines=[],
-                                  stack_words=0)], code_lines=0)])
-        artifact = tmp_path / "unsafe.pkl"
-        dump_artifact(prog.freeze(), artifact)
-        return artifact
-
-    def _analyze_schedule(self, tmp_path, entry):
-        import json
-
-        artifact = self._unsafe_artifact(tmp_path)
-        sched = tmp_path / "sched.json"
-        sched.write_text(json.dumps([entry]))
-        return main(["analyze", "--artifact", str(artifact),
-                     "--policy", "cohesion", "--schedule", str(sched),
-                     "--rules", "COH010"])
-
-    def test_analyze_schedule_drives_coh010(self, tmp_path, capsys):
-        # A schedule moving the unflushed region to hardware: COH010
-        # errors.
-        code = self._analyze_schedule(tmp_path, {
-            "phase": 0, "action": "to_hwcc", "base": 0x4000_0000,
-            "size": 64})
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "COH010" in out and "unflushed-dirty" in out
-
-    @pytest.mark.parametrize("bad", [
-        {"action": "to-hwcc"}, {"size": 0}, {"phase": -1}, {"phase": 7}],
-        ids=["action", "size", "negative-phase", "phase-past-end"])
-    def test_analyze_bad_schedule_entry_rejected(self, tmp_path, capsys,
-                                                 bad):
-        # Each of these would otherwise switch COH010 off (or point it
-        # at a barrier the program does not have).
-        entry = {"phase": 0, "action": "to_hwcc", "base": 0x4000_0000,
-                 "size": 64}
-        entry.update(bad)
-        code = self._analyze_schedule(tmp_path, entry)
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "analyze: bad schedule file: " in err
+    def test_analyze_has_no_schedule_flag(self, capsys):
+        # Programs cannot change domains mid-run, so there is no
+        # transition schedule to audit: the flag is an argparse error.
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "gjk", "--schedule", "x"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --schedule" in capsys.readouterr().err
 
     def test_analyze_without_workload_rejected(self, capsys):
         assert main(["analyze"]) == 2
