@@ -1,29 +1,31 @@
-"""Experiment drivers and reporting for the paper's figures and tables."""
+"""Experiment declarations and reporting for the paper's figures and tables."""
 
 from repro.analysis.area import (DirectoryAreaModel, dir4b_overhead,
                                  duplicate_tag_overhead, full_map_overhead)
 from repro.analysis.experiments import (ExperimentConfig,
-                                        run_directory_occupancy,
-                                        run_directory_sweep,
-                                        run_message_breakdown,
-                                        run_performance,
-                                        run_stack_only_ablation,
-                                        run_useful_coherence_ops,
-                                        run_workload)
+                                        directory_occupancy,
+                                        directory_sweep, message_breakdown,
+                                        model_knobs, performance,
+                                        run_workload, stack_only_ablation,
+                                        useful_coherence_ops)
+from repro.analysis.parallel import Sweep, run_sweeps
 from repro.analysis.report import format_table
 
 __all__ = [
     "DirectoryAreaModel",
     "ExperimentConfig",
+    "Sweep",
     "dir4b_overhead",
+    "directory_occupancy",
+    "directory_sweep",
     "duplicate_tag_overhead",
     "format_table",
     "full_map_overhead",
-    "run_directory_occupancy",
-    "run_directory_sweep",
-    "run_message_breakdown",
-    "run_performance",
-    "run_stack_only_ablation",
-    "run_useful_coherence_ops",
+    "message_breakdown",
+    "model_knobs",
+    "performance",
+    "run_sweeps",
     "run_workload",
+    "stack_only_ablation",
+    "useful_coherence_ops",
 ]

@@ -1,18 +1,17 @@
-"""Canned drivers for every experiment in the evaluation (Section 4).
+"""Declarations of every experiment in the evaluation (Section 4).
 
-Each ``run_*`` function regenerates the data behind one paper figure;
-see DESIGN.md's per-experiment index for the mapping. All drivers share
-an :class:`ExperimentConfig` that fixes the machine scale (clusters) and
-workload scale -- defaults are sized for a laptop; set ``REPRO_CLUSTERS``
-/ ``REPRO_SCALE`` (or ``REPRO_FULL=1`` for the paper's 128-cluster
-machine) to run larger. EXPERIMENTS.md records which scale produced the
-committed numbers.
-
-Every driver sweeps *independent* cells (each builds a fresh machine),
-so they all accept ``jobs``/``REPRO_JOBS`` to fan cells across worker
-processes and ``progress`` to report completion to stderr; results are
-merged in deterministic cell order, so parallel output is bit-identical
-to serial output (see :mod:`repro.analysis.parallel`).
+Each declaration (:func:`message_breakdown`, :func:`directory_sweep`,
+...) lists the cells behind one paper figure for a kernel list and an
+:class:`ExperimentConfig`, plus a reducer from their stats to the
+figure's result; see DESIGN.md's per-experiment index for the mapping.
+:func:`~repro.analysis.parallel.run_sweeps` runs any set of them as one
+batch, each distinct cell once, on ``jobs`` worker processes, and the
+reduced results are bit-identical to a serial run's. The
+:class:`ExperimentConfig` fixes the machine scale (clusters) and
+workload scale -- defaults are sized for a laptop; set
+``REPRO_CLUSTERS`` / ``REPRO_SCALE`` (or ``REPRO_FULL=1`` for the
+paper's 128-cluster machine) to run larger. EXPERIMENTS.md records which
+scale produced the committed numbers.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
-from repro.analysis.parallel import Cell, CellSweep, ProgressFn
+from repro.analysis.parallel import Cell, Sweep
 from repro.config import MachineConfig, Policy
 from repro.errors import SimulationError
 from repro.sim.machine import Machine
@@ -174,33 +173,37 @@ def run_workload(name: str, policy: Policy, exp: ExperimentConfig,
     return stats, machine
 
 
+def _policy_cells(exp: ExperimentConfig, workloads: Sequence[str],
+                  policies: Dict[str, Policy]
+                  ) -> Tuple[Tuple[Hashable, Cell], ...]:
+    """One cell per workload and labelled policy, keyed ``(name, label)``."""
+    return tuple(((name, label), Cell.make(name, policy, exp,
+                                           label=f"{name}/{label}"))
+                 for name in workloads for label, policy in policies.items())
+
+
+def _nested(stats: Dict[Hashable, RunStats], outer: Sequence, inner: Sequence,
+            value: Callable[[RunStats], object] = lambda stats: stats
+            ) -> Dict:
+    """``{o: {i: value(stats[o, i]) for i in inner} for o in outer}``."""
+    return {o: {i: value(stats[o, i]) for i in inner} for o in outer}
+
+
 # -- E1/E3: message breakdowns (Figures 2 and 8) -----------------------------
 
-def run_message_breakdown(workloads: Sequence[str] = ALL_WORKLOADS,
-                          policies: Optional[Dict[str, Policy]] = None,
-                          exp: Optional[ExperimentConfig] = None,
-                          jobs: Optional[int] = None,
-                          progress: Optional[ProgressFn] = None
-                          ) -> Dict[str, Dict[str, RunStats]]:
+def message_breakdown(exp: ExperimentConfig,
+                      workloads: Sequence[str] = ALL_WORKLOADS,
+                      policies: Optional[Dict[str, Policy]] = None) -> Sweep:
     """L2->L3 message counts per workload per design point.
 
     With ``policies = {SWcc, HWccIdeal}`` this is Figure 2; with all four
-    standard policies it is Figure 8. Results are raw counts; normalize
-    to SWcc for the paper's presentation.
+    standard policies it is Figure 8. Results are raw
+    ``{workload: {label: RunStats}}``; normalize to SWcc for the paper's
+    presentation.
     """
-    exp = exp or ExperimentConfig()
     policies = policies or standard_policies()
-    sweep = CellSweep(jobs=jobs, progress=progress)
-    results: Dict[str, Dict[str, RunStats]] = {}
-    for name in workloads:
-        results[name] = {}
-        for label, policy in policies.items():
-            def merge(stats: RunStats, name=name, label=label) -> None:
-                results[name][label] = stats
-            sweep.add(Cell.make(name, policy, exp,
-                                label=f"{name}/{label}"), merge)
-    sweep.run()
-    return results
+    return Sweep(_policy_cells(exp, workloads, policies),
+                 lambda stats: _nested(stats, workloads, policies))
 
 
 # -- E2: useful coherence instructions vs L2 size (Figure 3) -------------------
@@ -208,216 +211,167 @@ def run_message_breakdown(workloads: Sequence[str] = ALL_WORKLOADS,
 L2_SWEEP_BYTES = (8 * 1024, 16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024)
 
 
-def run_useful_coherence_ops(workloads: Sequence[str] = ALL_WORKLOADS,
-                             l2_sizes: Sequence[int] = L2_SWEEP_BYTES,
-                             exp: Optional[ExperimentConfig] = None,
-                             jobs: Optional[int] = None,
-                             progress: Optional[ProgressFn] = None
-                             ) -> Dict[str, Dict[int, Dict[str, float]]]:
+def _useful_ops(stats: RunStats) -> Dict[str, float]:
+    counters = stats.messages
+    return {
+        "useful_inv": counters.useful_inv_fraction,
+        "useful_wb": counters.useful_wb_fraction,
+        "useful_all": counters.useful_coherence_fraction,
+        "inv_issued": counters.inv_issued,
+        "wb_issued": counters.wb_issued,
+    }
+
+
+def useful_coherence_ops(exp: ExperimentConfig,
+                         workloads: Sequence[str] = ALL_WORKLOADS,
+                         l2_sizes: Sequence[int] = L2_SWEEP_BYTES) -> Sweep:
     """Fraction of SWcc INV/WB instructions that hit valid L2 lines.
 
     Runs pure SWcc with the L2 swept from 8 KB to 128 KB. Larger caches
     retain lines until their coherence instruction arrives, so the
     useful fraction rises with capacity (Figure 3).
     """
-    exp = exp or ExperimentConfig()
-    sweep = CellSweep(jobs=jobs, progress=progress)
-    results: Dict[str, Dict[int, Dict[str, float]]] = {}
-    for name in workloads:
-        results[name] = {}
-        for l2_bytes in l2_sizes:
-            def merge(stats: RunStats, name=name, l2_bytes=l2_bytes) -> None:
-                counters = stats.messages
-                results[name][l2_bytes] = {
-                    "useful_inv": counters.useful_inv_fraction,
-                    "useful_wb": counters.useful_wb_fraction,
-                    "useful_all": counters.useful_coherence_fraction,
-                    "inv_issued": counters.inv_issued,
-                    "wb_issued": counters.wb_issued,
-                }
-            sweep.add(Cell.make(name, Policy.swcc(), exp,
-                                label=f"{name}/l2={l2_bytes}",
-                                l2_bytes=l2_bytes), merge)
-    sweep.run()
-    return results
+    return Sweep(
+        tuple(((name, l2_bytes),
+               Cell.make(name, Policy.swcc(), exp,
+                         label=f"{name}/l2={l2_bytes}", l2_bytes=l2_bytes))
+              for name in workloads for l2_bytes in l2_sizes),
+        lambda stats: _nested(stats, workloads, l2_sizes, _useful_ops))
 
 
 # -- E4/E5: slowdown vs directory size (Figures 9a and 9b) ---------------------
 
-def run_directory_sweep(workloads: Sequence[str] = ALL_WORKLOADS,
-                        sizes: Sequence[int] = DIRECTORY_SWEEP_SIZES,
-                        hybrid: bool = False,
-                        exp: Optional[ExperimentConfig] = None,
-                        jobs: Optional[int] = None,
-                        progress: Optional[ProgressFn] = None
-                        ) -> Dict[str, Dict[int, float]]:
+def directory_sweep(exp: ExperimentConfig,
+                    workloads: Sequence[str] = ALL_WORKLOADS,
+                    sizes: Sequence[int] = DIRECTORY_SWEEP_SIZES,
+                    hybrid: bool = False) -> Sweep:
     """Runtime vs directory entries per bank, normalized to infinite.
 
     Directories are made fully associative to isolate capacity (as in
     the paper); ``hybrid`` selects Cohesion (Figure 9b) instead of pure
     HWcc (Figure 9a).
     """
-    exp = exp or ExperimentConfig()
     make = Policy.cohesion if hybrid else Policy.hwcc_real
-    baseline_policy = (Policy.cohesion_ideal() if hybrid
-                       else Policy.hwcc_ideal())
-    sweep = CellSweep(jobs=jobs, progress=progress)
-    baselines: Dict[str, float] = {}
-    results: Dict[str, Dict[int, float]] = {}
+    baseline = Policy.cohesion_ideal() if hybrid else Policy.hwcc_ideal()
+    cells = []
     for name in workloads:
-        results[name] = {}
+        cells.append(((name, "baseline"),
+                      Cell.make(name, baseline, exp,
+                                label=f"{name}/baseline")))
+        cells.extend(((name, entries),
+                      Cell.make(name, make(entries_per_bank=entries,
+                                           assoc=entries), exp,
+                                label=f"{name}/dir={entries}"))
+                     for entries in sizes)
 
-        def merge_base(stats: RunStats, name=name) -> None:
-            baselines[name] = max(1.0, stats.cycles)
-        sweep.add(Cell.make(name, baseline_policy, exp,
-                            label=f"{name}/baseline"), merge_base)
-        for entries in sizes:
-            policy = make(entries_per_bank=entries, assoc=entries)
-
-            def merge(stats: RunStats, name=name, entries=entries) -> None:
-                # Merges replay in append order, so the baseline for
-                # this workload is already in place.
-                results[name][entries] = stats.cycles / baselines[name]
-            sweep.add(Cell.make(name, policy, exp,
-                                label=f"{name}/dir={entries}"), merge)
-    sweep.run()
-    return results
+    def reduce(stats):
+        return {name: {entries: stats[name, entries].cycles
+                       / max(1.0, stats[name, "baseline"].cycles)
+                       for entries in sizes}
+                for name in workloads}
+    return Sweep(tuple(cells), reduce)
 
 
 # -- E6: directory occupancy (Figure 9c) ----------------------------------------
 
-def run_directory_occupancy(workloads: Sequence[str] = ALL_WORKLOADS,
-                            exp: Optional[ExperimentConfig] = None,
-                            jobs: Optional[int] = None,
-                            progress: Optional[ProgressFn] = None
-                            ) -> Dict[str, Dict[str, dict]]:
+def _occupancy(stats: RunStats) -> dict:
+    return {"avg": stats.dir_avg_entries, "max": stats.dir_max_entries,
+            "by_class": dict(stats.dir_avg_by_class)}
+
+
+def directory_occupancy(exp: ExperimentConfig,
+                        workloads: Sequence[str] = ALL_WORKLOADS) -> Sweep:
     """Time-average and maximum directory entries, classified by segment.
 
     Both Cohesion and HWcc run with unbounded directories, mirroring the
     paper's methodology of sampling every 1000 cycles (we integrate the
     exact time-weighted occupancy instead of sampling).
     """
-    exp = exp or ExperimentConfig()
-    sweep = CellSweep(jobs=jobs, progress=progress)
-    results: Dict[str, Dict[str, dict]] = {}
-    for name in workloads:
-        results[name] = {}
-        for label, policy in (("Cohesion", Policy.cohesion_ideal()),
-                              ("HWcc", Policy.hwcc_ideal())):
-            def merge(stats: RunStats, name=name, label=label) -> None:
-                results[name][label] = {
-                    "avg": stats.dir_avg_entries,
-                    "max": stats.dir_max_entries,
-                    "by_class": dict(stats.dir_avg_by_class),
-                }
-            sweep.add(Cell.make(name, policy, exp,
-                                label=f"{name}/{label}"), merge)
-    sweep.run()
-    return results
+    policies = {"Cohesion": Policy.cohesion_ideal(),
+                "HWcc": Policy.hwcc_ideal()}
+    return Sweep(_policy_cells(exp, workloads, policies),
+                 lambda stats: _nested(stats, workloads, policies,
+                                       _occupancy))
 
 
 # -- E7: relative performance (Figure 10) -----------------------------------------
 
-def run_performance(workloads: Sequence[str] = ALL_WORKLOADS,
-                    exp: Optional[ExperimentConfig] = None,
-                    jobs: Optional[int] = None,
-                    progress: Optional[ProgressFn] = None
-                    ) -> Dict[str, Dict[str, float]]:
+def performance(exp: ExperimentConfig,
+                workloads: Sequence[str] = ALL_WORKLOADS) -> Sweep:
     """Runtime of the six Figure 10 configs, normalized to Cohesion."""
-    exp = exp or ExperimentConfig()
-    sweep = CellSweep(jobs=jobs, progress=progress)
-    raw: Dict[str, Dict[str, float]] = {}
-    for name in workloads:
-        raw[name] = {}
-        for label, policy in figure10_policies().items():
-            def merge(stats: RunStats, name=name, label=label) -> None:
-                raw[name][label] = stats.cycles
-            sweep.add(Cell.make(name, policy, exp,
-                                label=f"{name}/{label}"), merge)
-    sweep.run()
-    results: Dict[str, Dict[str, float]] = {}
-    for name, per in raw.items():
-        base = max(1.0, per["Cohesion"])
-        results[name] = {label: cycles / base for label, cycles in per.items()}
-    return results
+    policies = figure10_policies()
+
+    def reduce(stats):
+        return {name: {label: stats[name, label].cycles
+                       / max(1.0, stats[name, "Cohesion"].cycles)
+                       for label in policies}
+                for name in workloads}
+    return Sweep(_policy_cells(exp, workloads, policies), reduce)
 
 
 # -- E10: stack-only ablation (Section 4.3) -----------------------------------------
 
-def run_stack_only_ablation(workloads: Sequence[str] = ALL_WORKLOADS,
-                            exp: Optional[ExperimentConfig] = None,
-                            jobs: Optional[int] = None,
-                            progress: Optional[ProgressFn] = None
-                            ) -> Dict[str, Dict[str, float]]:
+def stack_only_ablation(exp: ExperimentConfig,
+                        workloads: Sequence[str] = ALL_WORKLOADS) -> Sweep:
     """Directory savings from keeping only stacks (and code) incoherent.
 
     The paper observes that for some benchmarks the stack alone achieves
     much of Cohesion's directory savings, but on average contributes
     only ~15% of HWcc's entries; the bulk of the savings comes from
-    moving shared heap/global data to the incoherent heap. This driver
+    moving shared heap/global data to the incoherent heap. This sweep
     reports average entries for pure HWcc, Cohesion with *only* the
     coarse stack/code regions incoherent (all workload data forced onto
     the coherent heap), and full Cohesion.
     """
-    exp = exp or ExperimentConfig()
-    sweep = CellSweep(jobs=jobs, progress=progress)
-    raw: Dict[str, Dict[str, RunStats]] = {}
-    for name in workloads:
-        raw[name] = {}
-        for label, policy, force in (
-                ("HWcc", Policy.hwcc_ideal(), False),
-                ("StackOnly", Policy.cohesion_ideal(), True),
-                ("Cohesion", Policy.cohesion_ideal(), False)):
-            def merge(stats: RunStats, name=name, label=label) -> None:
-                raw[name][label] = stats
-            sweep.add(Cell.make(name, policy, exp, force_hw_data=force,
-                                label=f"{name}/{label}"), merge)
-    sweep.run()
-    results: Dict[str, Dict[str, float]] = {}
-    for name, per in raw.items():
-        hwcc = per["HWcc"]
-        results[name] = {
-            "HWcc": hwcc.dir_avg_entries,
-            "StackOnly": per["StackOnly"].dir_avg_entries,
-            "Cohesion": per["Cohesion"].dir_avg_entries,
-            "stack_share_of_hwcc": (
-                hwcc.dir_avg_by_class[SegmentClass.STACK]
-                / max(1.0, hwcc.dir_avg_entries)),
-        }
-    return results
+    configs = (("HWcc", Policy.hwcc_ideal(), False),
+               ("StackOnly", Policy.cohesion_ideal(), True),
+               ("Cohesion", Policy.cohesion_ideal(), False))
+
+    def reduce(stats):
+        results = {}
+        for name in workloads:
+            hwcc = stats[name, "HWcc"]
+            results[name] = {
+                "HWcc": hwcc.dir_avg_entries,
+                "StackOnly": stats[name, "StackOnly"].dir_avg_entries,
+                "Cohesion": stats[name, "Cohesion"].dir_avg_entries,
+                "stack_share_of_hwcc": (
+                    hwcc.dir_avg_by_class[SegmentClass.STACK]
+                    / max(1.0, hwcc.dir_avg_entries)),
+            }
+        return results
+    return Sweep(
+        tuple(((name, label), Cell.make(name, policy, exp,
+                                        force_hw_data=force,
+                                        label=f"{name}/{label}"))
+              for name in workloads for label, policy, force in configs),
+        reduce)
 
 
 # -- model-knob ablation (DESIGN.md's substitutions) ---------------------------------
 
 #: Per-cluster write-buffer depths and combining-tree root bandwidths
-#: (messages/cycle) swept by :func:`run_model_knobs`.
+#: (messages/cycle) swept by :func:`model_knobs`.
 BUFFER_DEPTHS = (2, 8, 16, 64)
 TREE_BANDWIDTHS = (1.0, 2.0, 4.0, 16.0)
 
 
-def run_model_knobs(workload: str = "sobel",
-                    exp: Optional[ExperimentConfig] = None,
-                    jobs: Optional[int] = None,
-                    progress: Optional[ProgressFn] = None
-                    ) -> Dict[Tuple[str, object], RunStats]:
+def model_knobs(exp: ExperimentConfig, workload: str = "sobel") -> Sweep:
     """Cohesion on one kernel with the simulator's own timing knobs swept.
 
     The paper gives neither the write-buffer depth nor the combining-tree
     root bandwidth; sweeping them shows whether the committed defaults
-    sit on the flat part of each curve. Keys are ``("write_buffer",
-    depth)`` and ``("tree_bw", bandwidth)``, in sweep order.
+    sit on the flat part of each curve. Result keys are
+    ``("write_buffer", depth)`` and ``("tree_bw", bandwidth)``, in sweep
+    order, each mapped to its :class:`RunStats`.
     """
-    exp = exp or ExperimentConfig()
-    sweep = CellSweep(jobs=jobs, progress=progress)
-    results: Dict[Tuple[str, object], RunStats] = {}
-    for knob, field_name, values in (
-            ("write_buffer", "write_buffer_depth", BUFFER_DEPTHS),
-            ("tree_bw", "tree_msgs_per_cycle", TREE_BANDWIDTHS)):
-        for value in values:
-            def merge(stats: RunStats, key=(knob, value)) -> None:
-                results[key] = stats
-            sweep.add(Cell.make(workload, Policy.cohesion(), exp,
-                                label=f"{workload}/{knob}={value}",
-                                **{field_name: value}), merge)
-    sweep.run()
-    return results
+    return Sweep(
+        tuple(((knob, value),
+               Cell.make(workload, Policy.cohesion(), exp,
+                         label=f"{workload}/{knob}={value}",
+                         **{field_name: value}))
+              for knob, field_name, values in (
+                  ("write_buffer", "write_buffer_depth", BUFFER_DEPTHS),
+                  ("tree_bw", "tree_msgs_per_cycle", TREE_BANDWIDTHS))
+              for value in values),
+        dict)

@@ -1,10 +1,12 @@
 """The paper's evaluation, one registry entry per committed table.
 
-Each :class:`Figure` is written down once: the driver sweeps behind its
-cells, the renderer that produces ``results/<name>.txt``, and the
+Each :class:`Figure` is written down once: the declared sweep behind
+its cells, the renderer that produces ``results/<name>.txt``, and the
 paper's claims about it, each graded by a predicate over the same
-results the renderer reads. ``repro figures`` renders, ``repro
-validate`` grades every claim, and ``repro area`` prints ``sec44``.
+results the renderer reads. :func:`figure_results` runs the requested
+figures' cells as one deduplicated batch; ``repro figures`` renders,
+``repro validate`` grades every claim, and ``repro area`` prints
+``sec44``.
 
 The claims are graded at the committed scale (4 clusters, workload
 scale 1.0). Smaller machines shrink the per-cluster footprints below
@@ -18,15 +20,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.area import DirectoryAreaModel
 from repro.analysis.experiments import (DIRECTORY_SWEEP_SIZES, L2_SWEEP_BYTES,
-                                        ExperimentConfig, figure10_policies,
-                                        run_directory_occupancy,
-                                        run_directory_sweep,
-                                        run_message_breakdown, run_model_knobs,
-                                        run_performance,
-                                        run_stack_only_ablation,
-                                        run_useful_coherence_ops,
-                                        standard_policies)
-from repro.analysis.parallel import ProgressFn
+                                        ExperimentConfig, directory_occupancy,
+                                        directory_sweep, figure10_policies,
+                                        message_breakdown, model_knobs,
+                                        performance, stack_only_ablation,
+                                        standard_policies,
+                                        useful_coherence_ops)
+from repro.analysis.parallel import ProgressFn, Sweep, run_sweeps
 from repro.analysis.report import (format_table, grouped_bar_chart,
                                    message_breakdown_rows,
                                    short_message_headers)
@@ -70,75 +70,33 @@ class Claim:
                            self.paper)
 
 
-class Sweeps:
-    """The driver sweeps behind the figures, each run at most once.
-
-    Figures that read the same sweep share it: fig02, fig08 and the
-    headline read one message breakdown, and the headline reads the
-    Figure 9 sweeps and occupancy, so ``repro figures all`` runs each
-    sweep once. Different sweeps still ask for some identical cells
-    (a cold ``figures all --clusters 1 --scale 0.2`` in an empty cache
-    directory reports ``hits=82 misses=214``, the same unbounded
-    Cohesion and HWcc runs requested by several drivers). Only the
-    result cache deduplicates those: with ``REPRO_CACHE=0`` they are
-    simulated once per sweep that asks for them.
-    """
-
-    def __init__(self, exp: ExperimentConfig, jobs: Optional[int] = None,
-                 progress: Optional[ProgressFn] = None) -> None:
-        self.exp = exp
-        self.jobs = jobs
-        self.progress = progress
-        self._done: Dict[object, object] = {}
-
-    def _once(self, key, driver, *args):
-        if key not in self._done:
-            self._done[key] = driver(*args, exp=self.exp, jobs=self.jobs,
-                                     progress=self.progress)
-        return self._done[key]
-
-    def messages(self):
-        return self._once("messages", run_message_breakdown, ALL_WORKLOADS,
-                          standard_policies())
-
-    def useful_ops(self):
-        return self._once("useful_ops", run_useful_coherence_ops,
-                          ALL_WORKLOADS, L2_SWEEP_BYTES)
-
-    def directory_sweep(self, hybrid: bool):
-        return self._once(("directory_sweep", hybrid), run_directory_sweep,
-                          ALL_WORKLOADS, DIRECTORY_SWEEP_SIZES, hybrid)
-
-    def occupancy(self):
-        return self._once("occupancy", run_directory_occupancy,
-                          ALL_WORKLOADS)
-
-    def performance(self):
-        return self._once("performance", run_performance, ALL_WORKLOADS)
-
-    def stack_only(self):
-        return self._once("stack_only", run_stack_only_ablation,
-                          ALL_WORKLOADS)
-
-    def knobs(self):
-        return self._once("knobs", run_model_knobs, KNOB_KERNEL)
-
-
 @dataclass(frozen=True)
 class Figure:
     """One committed table: its cells, its renderer and its claims."""
 
     name: str
-    cells: Callable[[Sweeps], object]
+    sweep: Callable[[ExperimentConfig], Sweep]
     render: Callable[[object], str]
     claims: Tuple[Claim, ...]
 
-    def text(self, sweeps: Sweeps) -> str:
-        return self.render(self.cells(sweeps))
 
-    def grade(self, sweeps: Sweeps) -> List[ClaimResult]:
-        results = self.cells(sweeps)
-        return [claim.grade(results) for claim in self.claims]
+def figure_results(names: Sequence[str], exp: ExperimentConfig,
+                   jobs: Optional[int] = None,
+                   progress: Optional[ProgressFn] = None) -> Dict[str, object]:
+    """The named figures' results, from one batch of simulations.
+
+    The figures' cells overlap: fig02, fig08 and the headline read one
+    message breakdown, and the unbounded HWcc and Cohesion runs behind
+    the Figure 9a/9b baselines also feed Figure 9c, Figure 10 and the
+    stack-only ablation. :func:`~repro.analysis.parallel.run_sweeps`
+    deduplicates the union by the result cache's key, so each distinct
+    cell is simulated once per call (a cold ``repro figures all`` in an
+    empty cache directory reports ``hits=0``), and each figure's reducer
+    gets its own slice.
+    """
+    return dict(zip(names, run_sweeps([FIGURES[name].sweep(exp)
+                                       for name in names],
+                                      jobs=jobs, progress=progress)))
 
 
 def _mean(values) -> float:
@@ -421,10 +379,17 @@ def _band_around_cohesion(results):
 
 # -- abstract / Section 4.6: headline claims -----------------------------------
 
-def _headline_cells(sweeps: Sweeps) -> Dict[str, object]:
-    return {"messages": sweeps.messages(), "occupancy": sweeps.occupancy(),
-            "HWcc": sweeps.directory_sweep(False),
-            "Cohesion": sweeps.directory_sweep(True)}
+def _headline_sweep(exp: ExperimentConfig) -> Sweep:
+    parts = {"messages": message_breakdown(exp),
+             "occupancy": directory_occupancy(exp),
+             "HWcc": directory_sweep(exp, hybrid=False),
+             "Cohesion": directory_sweep(exp, hybrid=True)}
+    return Sweep(
+        tuple(((part, key), cell) for part, sweep in parts.items()
+              for key, cell in sweep.cells),
+        lambda stats: {part: sweep.reduce({key: stats[part, key]
+                                           for key, _cell in sweep.cells})
+                       for part, sweep in parts.items()})
 
 
 def _headline_numbers(results) -> Dict[str, float]:
@@ -470,7 +435,7 @@ def _more_robust(results):
 
 # -- Section 4.4: directory area --------------------------------------------------
 
-def _area_cells(_sweeps: Sweeps) -> Dict[str, object]:
+def _area(_stats) -> Dict[str, object]:
     model = DirectoryAreaModel(MachineConfig())
     return {"estimates": model.summary(),
             "assoc": model.duplicate_tag_associativity()}
@@ -591,7 +556,7 @@ def _starving_hurts(results):
 # -- the registry ----------------------------------------------------------------------
 
 FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
-    Figure("fig02", Sweeps.messages, _render_fig02, (
+    Figure("fig02", message_breakdown, _render_fig02, (
         Claim("optimistic HWcc sends more messages than SWcc on every "
               "kernel but kmeans", "Figure 2", "all but kmeans above 1x",
               _hwcc_exceeds_swcc),
@@ -602,14 +567,14 @@ FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
               "Section 2.1", "HWcc-only message class",
               _read_releases_hwcc_only),
     )),
-    Figure("fig03", Sweeps.useful_ops, _render_fig03, (
+    Figure("fig03", useful_coherence_ops, _render_fig03, (
         Claim("the useful fraction of SWcc INV/WB instructions grows with "
               "L2 size, and much of it is wasted at 8K", "Figure 3",
               "0.03 at 8K -> 0.77 at 128K", _useful_grows),
         Claim("no kernel's useful fraction falls as the L2 grows",
               "Figure 3", "rises with capacity", _useful_never_falls),
     )),
-    Figure("fig08", Sweeps.messages, _render_fig08, (
+    Figure("fig08", message_breakdown, _render_fig08, (
         Claim("Cohesion sends fewer messages than both HWcc "
               "configurations in aggregate", "Figure 8",
               "below HWccIdeal and HWccReal", _cohesion_below_hwcc),
@@ -619,7 +584,7 @@ FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
               "streaming kernels", "Figure 8", "below HWccIdeal",
               _cohesion_beats_hwcc_streaming),
     )),
-    Figure("fig09a", lambda sweeps: sweeps.directory_sweep(False),
+    Figure("fig09a", lambda exp: directory_sweep(exp, hybrid=False),
            _sweep_renderer("Figure 9a: HWcc slowdown vs directory "
                            "entries/bank (normalized to infinite directory)"),
            (
@@ -630,7 +595,7 @@ FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
         Claim("shrinking the directory never helps HWcc", "Figure 9a",
               "monotone", _shrinking_never_helps),
     )),
-    Figure("fig09b", lambda sweeps: sweeps.directory_sweep(True),
+    Figure("fig09b", lambda exp: directory_sweep(exp, hybrid=True),
            _sweep_renderer("Figure 9b: Cohesion slowdown vs directory "
                            "entries/bank (normalized to infinite directory)"),
            (
@@ -639,7 +604,7 @@ FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
         Claim("most kernels are fully robust at 256 entries/bank",
               "Figure 9b", "nearly flat", _mostly_robust),
     )),
-    Figure("fig09c", Sweeps.occupancy, _render_fig09c, (
+    Figure("fig09c", directory_occupancy, _render_fig09c, (
         Claim("Cohesion reduces directory utilization by at least 2x",
               "Figure 9c / abstract", "2.1x", _halves_occupancy),
         Claim("Cohesion allocates fewer directory entries than HWcc on "
@@ -650,7 +615,7 @@ FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
         Claim("peak directory occupancy is at least the time average",
               "Figure 9c", "max >= avg", _peak_at_least_mean),
     )),
-    Figure("fig10", Sweeps.performance, _render_fig10, (
+    Figure("fig10", performance, _render_fig10, (
         Claim("Cohesion with a Dir4B directory tracks full-map Cohesion",
               "Figure 10", "within a few percent", _dir4b_tracks_full_map),
         Claim("Cohesion is competitive with optimistic HWcc and SWcc on "
@@ -659,7 +624,7 @@ FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
         Claim("SWcc and optimistic HWcc land in a band around Cohesion",
               "Figure 10", "0.84x-1.25x", _band_around_cohesion),
     )),
-    Figure("sec44", _area_cells, _render_sec44, (
+    Figure("sec44", lambda exp: Sweep((), _area), _render_sec44, (
         Claim("full-map directory storage is about 9.28 MB, 113% of the "
               "aggregate L2", "Section 4.4", "9.28 MB, 113%",
               _full_map_size),
@@ -669,14 +634,14 @@ FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
               "associativity", "Section 4.4", "736 KB, 2048-way",
               _duplicate_tags),
     )),
-    Figure("headline", _headline_cells, _render_headline, (
+    Figure("headline", _headline_sweep, _render_headline, (
         Claim("Cohesion reduces message traffic relative to optimistic "
               "HWcc", "abstract / Section 4.6", "2x", _traffic_reduced),
         Claim("tiny directories hurt HWcc more than Cohesion",
               "abstract / Figures 9a-9b", "greater robustness",
               _more_robust),
     )),
-    Figure("ablation", Sweeps.stack_only, _render_ablation, (
+    Figure("ablation", stack_only_ablation, _render_ablation, (
         Claim("incoherent stacks alone save some directory entries, full "
               "Cohesion far more", "Section 4.3",
               "most savings from the incoherent heap", _stack_saves_less),
@@ -686,7 +651,8 @@ FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
               "Section 4.3", "most of the benefit for some",
               _stack_noticeable_somewhere),
     )),
-    Figure("knobs", Sweeps.knobs, _render_knobs, (
+    Figure("knobs", lambda exp: model_knobs(exp, KNOB_KERNEL),
+           _render_knobs, (
         Claim("message counts barely move with the timing knobs",
               "DESIGN.md substitutions", "simulator choice",
               _messages_stable),
@@ -700,10 +666,11 @@ FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
 )}
 
 
-def grade_all(sweeps: Sweeps) -> List[ClaimResult]:
+def grade_all(exp: ExperimentConfig) -> List[ClaimResult]:
     """Grade every registry claim from the registry's own cells."""
-    return [result for figure in FIGURES.values()
-            for result in figure.grade(sweeps)]
+    results = figure_results(list(FIGURES), exp)
+    return [claim.grade(results[name]) for name, figure in FIGURES.items()
+            for claim in figure.claims]
 
 
 def format_scorecard(results: Sequence[ClaimResult]) -> str:

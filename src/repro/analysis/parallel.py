@@ -1,14 +1,17 @@
 """Parallel execution of independent experiment cells.
 
-Every ``run_*`` driver in :mod:`repro.analysis.experiments` is a sweep
-over independent *cells* -- one ``(workload, policy, machine-config)``
-point that builds a fresh :class:`~repro.sim.machine.Machine`, runs one
-program, and keeps only the resulting :class:`~repro.sim.stats.RunStats`.
-Cells share no mutable state, so they are embarrassingly parallel; this
-module fans them across a :class:`~repro.pool.WorkerPool` while keeping
-the *merge* deterministic: results come back in cell order, so a
-parallel sweep is bit-identical to the serial one. The job count and
-what happens when a worker dies are the pool's (see :mod:`repro.pool`).
+Every figure's data is a sweep over independent *cells* -- one
+``(workload, policy, machine-config)`` point that builds a fresh
+:class:`~repro.sim.machine.Machine`, runs one program, and keeps only
+the resulting :class:`~repro.sim.stats.RunStats`. The declarations in
+:mod:`repro.analysis.experiments` list those cells as a :class:`Sweep`;
+:func:`run_sweeps` runs the union of several sweeps as one batch, each
+distinct cell once. Cells share no mutable state, so they are
+embarrassingly parallel; this module fans them across a
+:class:`~repro.pool.WorkerPool` while keeping the result deterministic:
+results come back in cell order, so a parallel sweep is bit-identical to
+the serial one. The job count and what happens when a worker dies are
+the pool's (see :mod:`repro.pool`).
 
 Worker failures are not swallowed: the first failing cell's original
 exception is re-raised in the parent (with the cell named in a note on
@@ -19,8 +22,8 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.pool import WorkerPool, resolve_jobs
 from repro.sim.stats import RunStats
@@ -161,34 +164,45 @@ def _resolve_cache(cache: object, worker: Callable[[Cell], object]):
     return cache
 
 
-# -- sweep assembly helpers ---------------------------------------------------
+# -- declared sweeps ----------------------------------------------------------
 
-@dataclass
-class CellSweep:
-    """Accumulates cells plus per-cell merge callbacks.
+@dataclass(frozen=True)
+class Sweep:
+    """The cells behind one result, declared, and how to reduce them.
 
-    Drivers append cells together with a ``merge(stats)`` closure that
-    writes the cell's contribution into the driver's result structure;
-    :meth:`run` executes the whole batch (serially or in parallel) and
-    then replays the merges **in append order**, so result dictionaries
-    have identical contents *and iteration order* no matter how the
-    cells were scheduled.
+    ``cells`` pairs each cell with the key its stats are filed under;
+    ``reduce`` maps ``{key: RunStats}`` (in declaration order) to the
+    result. After deduplication several reducers may receive the same
+    :class:`RunStats` object, so reducers must not mutate it.
     """
 
-    jobs: Optional[int] = None
-    progress: Optional[ProgressFn] = None
-    _cells: List[Cell] = field(default_factory=list)
-    _merges: List[Callable[[RunStats], None]] = field(default_factory=list)
+    cells: Tuple[Tuple[Hashable, Cell], ...]
+    reduce: Callable[[Dict[Hashable, RunStats]], object]
 
-    def add(self, cell: Cell, merge: Callable[[RunStats], None]) -> None:
-        self._cells.append(cell)
-        self._merges.append(merge)
 
-    def __len__(self) -> int:
-        return len(self._cells)
+def run_sweeps(sweeps: Sequence[Sweep], jobs: Optional[int] = None,
+               progress: Optional[ProgressFn] = None) -> List[object]:
+    """Reduce every sweep from one :func:`run_cells` batch.
 
-    def run(self) -> None:
-        for stats, merge in zip(run_cells(self._cells, jobs=self.jobs,
-                                          progress=self.progress),
-                                self._merges):
-            merge(stats)
+    The union of the sweeps' cells is deduplicated by the result cache's
+    own key (:func:`~repro.cache.results.cell_key`), so a cell that
+    several sweeps declare is simulated, looked up and reported once.
+    Results are returned in ``sweeps`` order.
+    """
+    from repro.cache.keys import digest
+    from repro.cache.results import cell_key
+
+    union: Dict[str, Cell] = {}
+    slices = []
+    for sweep in sweeps:
+        keyed = []
+        for key, cell in sweep.cells:
+            fingerprint = digest(cell_key(cell))
+            union.setdefault(fingerprint, cell)
+            keyed.append((key, fingerprint))
+        slices.append(keyed)
+    stats = dict(zip(union, run_cells(list(union.values()), jobs=jobs,
+                                      progress=progress)))
+    return [sweep.reduce({key: stats[fingerprint]
+                          for key, fingerprint in keyed})
+            for sweep, keyed in zip(sweeps, slices)]

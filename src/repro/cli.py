@@ -18,11 +18,6 @@ Commands
     Exhaustively model-check the protocol implementation itself: drive
     the real directory + transition engine through every interleaving
     of a small preset universe, checking all invariants at every state.
-``compare``
-    Run one workload under all four Section 4.1 design points and print
-    the message/runtime/directory comparison.
-``sweep``
-    Directory-capacity sweep (Figure 9a/9b style) for one workload.
 ``figures``
     Render one or all of the paper's figures/tables from the figure
     registry into a results directory (``results/`` holds them at the
@@ -50,15 +45,11 @@ import pathlib
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.experiments import (ExperimentConfig,
-                                        run_directory_sweep,
-                                        run_message_breakdown,
-                                        run_workload, standard_policies)
-from repro.analysis.figures import (FIGURES, Sweeps, format_scorecard,
-                                    grade_all)
+from repro.analysis.experiments import ExperimentConfig, run_workload
+from repro.analysis.figures import (FIGURES, figure_results,
+                                    format_scorecard, grade_all)
 from repro.analysis.parallel import stderr_progress
-from repro.analysis.report import (format_table, message_breakdown_rows,
-                                   short_message_headers)
+from repro.analysis.report import format_table
 from repro.errors import ReproError
 from repro.config import Policy
 from repro.types import DirectoryKind
@@ -472,45 +463,9 @@ def cmd_mc(args) -> int:
     return 0 if result.ok else 1
 
 
-def cmd_compare(args) -> int:
-    exp = _experiment_from_args(args)
-    results = run_message_breakdown(
-        [args.workload], standard_policies(), exp, jobs=args.jobs,
-        progress=_progress_from_args(args, "compare"))[args.workload]
-    rows = message_breakdown_rows(results, normalize_to="SWcc")
-    print(format_table(short_message_headers(), rows,
-                       title=f"{args.workload}: messages normalized to SWcc"))
-    perf_rows = [[label,
-                  stats.cycles,
-                  stats.cycles / results["SWcc"].cycles,
-                  stats.dir_avg_entries]
-                 for label, stats in results.items()]
-    print()
-    print(format_table(
-        ["config", "cycles", "vs SWcc", "avg dir entries"], perf_rows,
-        title="runtime and directory pressure"))
-    _report_cache_stats("compare")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    exp = _experiment_from_args(args)
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    rows = []
-    for label, hybrid in (("HWcc", False), ("Cohesion", True)):
-        sweep = run_directory_sweep(
-            [args.workload], sizes, hybrid=hybrid, exp=exp, jobs=args.jobs,
-            progress=_progress_from_args(args, "sweep"))[args.workload]
-        rows.append([label] + [sweep[s] for s in sizes])
-    print(format_table(["config"] + [str(s) for s in sizes], rows,
-                       title=f"{args.workload}: slowdown vs directory "
-                             "entries/bank (normalized to infinite)"))
-    _report_cache_stats("sweep")
-    return 0
-
-
 def cmd_area(args) -> int:
-    print(FIGURES["sec44"].text(Sweeps(ExperimentConfig())))
+    results = figure_results(["sec44"], ExperimentConfig())
+    print(FIGURES["sec44"].render(results["sec44"]))
     return 0
 
 
@@ -537,7 +492,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    results = grade_all(Sweeps(_experiment_from_args(args)))
+    results = grade_all(_experiment_from_args(args))
     print(format_scorecard(results))
     _report_cache_stats("validate")
     return 0 if all(r.passed for r in results) else 1
@@ -557,10 +512,11 @@ def cmd_figures(args) -> int:
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     names = list(FIGURES) if args.figure == "all" else [args.figure]
-    sweeps = Sweeps(_experiment_from_args(args), jobs=args.jobs,
-                    progress=_progress_from_args(args, "figures"))
+    results = figure_results(names, _experiment_from_args(args),
+                             jobs=args.jobs,
+                             progress=_progress_from_args(args, "figures"))
     for name in names:
-        text = FIGURES[name].text(sweeps)
+        text = FIGURES[name].render(results[name])
         print(f"== {name}")
         print(text)
         print()
@@ -738,19 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write an MC_<timestamp>.json trajectory "
                            "(result + per-level frontier sizes)")
     p_mc.set_defaults(func=cmd_mc)
-
-    p_cmp = sub.add_parser("compare", help="all four design points")
-    p_cmp.add_argument("--workload", choices=ALL_WORKLOADS, required=True)
-    _add_scale_args(p_cmp)
-    _add_jobs_args(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_sweep = sub.add_parser("sweep", help="directory capacity sweep")
-    p_sweep.add_argument("--workload", choices=ALL_WORKLOADS, required=True)
-    p_sweep.add_argument("--sizes", default="256,1024,4096,16384")
-    _add_scale_args(p_sweep)
-    _add_jobs_args(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_fig = sub.add_parser("figures", help="regenerate paper figures")
     p_fig.add_argument("figure", choices=FIGURE_CHOICES, nargs="?",

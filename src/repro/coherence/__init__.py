@@ -1,4 +1,4 @@
-"""Coherence protocols: message taxonomy, directories, MSI, and SWcc."""
+"""Coherence protocols: message taxonomy, directories and MSI."""
 
 from repro.coherence.messages import MessageCounters
 from repro.coherence.directory import (
@@ -8,7 +8,6 @@ from repro.coherence.directory import (
     LimitedPointerDirectory,
     build_directory,
 )
-from repro.coherence.swcc import classify_sw_state
 
 __all__ = [
     "DirectoryEntry",
@@ -17,5 +16,4 @@ __all__ = [
     "MessageCounters",
     "SparseDirectory",
     "build_directory",
-    "classify_sw_state",
 ]

@@ -55,12 +55,3 @@ def table_slot(addr: int) -> "tuple[int, int]":
 def table_entry_addr(table_base: int, addr: int) -> int:
     """Absolute byte address of the table word covering ``addr``."""
     return table_base + tbloff(addr)
-
-
-def flat_bit_number(addr: int) -> int:
-    """Global bit number (word offset * 32 + bit index) for ``addr``.
-
-    Useful for checking the bijection property: distinct lines must map
-    to distinct flat bit numbers within the 2^27-bit table.
-    """
-    return (tbloff(addr) >> 2) * 32 + table_bit_index(addr)

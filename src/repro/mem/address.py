@@ -42,16 +42,6 @@ def word_index(addr: int) -> int:
     return (addr >> WORD_SHIFT) & (WORDS_PER_LINE - 1)
 
 
-def word_bit(addr: int) -> int:
-    """Return the one-hot per-word mask bit for ``addr``."""
-    return 1 << word_index(addr)
-
-
-def align_down(addr: int, granularity: int = LINE_BYTES) -> int:
-    """Round ``addr`` down to a multiple of ``granularity``."""
-    return addr - (addr % granularity)
-
-
 def align_up(addr: int, granularity: int = LINE_BYTES) -> int:
     """Round ``addr`` up to a multiple of ``granularity``."""
     rem = addr % granularity

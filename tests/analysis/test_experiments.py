@@ -1,15 +1,14 @@
-"""Experiment drivers on tiny configurations."""
+"""Experiment declarations on tiny configurations."""
 
 import pytest
 
-from repro.analysis.experiments import (ExperimentConfig, figure10_policies,
-                                        run_directory_occupancy,
-                                        run_directory_sweep,
-                                        run_message_breakdown,
-                                        run_performance,
-                                        run_stack_only_ablation,
-                                        run_useful_coherence_ops,
-                                        standard_policies)
+from repro.analysis.experiments import (ExperimentConfig,
+                                        directory_occupancy, directory_sweep,
+                                        figure10_policies, message_breakdown,
+                                        performance, stack_only_ablation,
+                                        standard_policies,
+                                        useful_coherence_ops)
+from repro.analysis.parallel import run_sweeps
 from repro.analysis.report import (MESSAGE_HEADERS, format_table,
                                    message_breakdown_rows,
                                    short_message_headers)
@@ -19,9 +18,14 @@ TINY = ExperimentConfig(n_clusters=2, scale=0.12)
 KERNELS = ("gjk", "mri")
 
 
+def run(sweep):
+    """Reduce one declared sweep."""
+    return run_sweeps([sweep])[0]
+
+
 class TestDrivers:
     def test_message_breakdown(self):
-        results = run_message_breakdown(KERNELS, exp=TINY)
+        results = run(message_breakdown(TINY, KERNELS))
         assert set(results) == set(KERNELS)
         for per_policy in results.values():
             assert set(per_policy) == set(standard_policies())
@@ -29,9 +33,8 @@ class TestDrivers:
                 assert stats.total_messages > 0
 
     def test_useful_coherence_ops_monotone_data(self):
-        results = run_useful_coherence_ops(("sobel",),
-                                           l2_sizes=(8 * 1024, 64 * 1024),
-                                           exp=TINY)
+        results = run(useful_coherence_ops(
+            TINY, ("sobel",), l2_sizes=(8 * 1024, 64 * 1024)))
         points = results["sobel"]
         for entry in points.values():
             assert 0.0 <= entry["useful_all"] <= 1.0
@@ -40,35 +43,34 @@ class TestDrivers:
         assert points[64 * 1024]["useful_all"] >= points[8 * 1024]["useful_all"]
 
     def test_directory_sweep(self):
-        results = run_directory_sweep(("gjk",), sizes=(64, 4096),
-                                      exp=TINY)
+        results = run(directory_sweep(TINY, ("gjk",), sizes=(64, 4096)))
         sweep = results["gjk"]
         assert set(sweep) == {64, 4096}
         assert all(v > 0 for v in sweep.values())
         assert sweep[64] >= sweep[4096] * 0.95  # smaller is never faster
 
     def test_directory_sweep_hybrid_flat(self):
-        hwcc = run_directory_sweep(("heat",), sizes=(64,), exp=TINY)
-        cohesion = run_directory_sweep(("heat",), sizes=(64,), hybrid=True,
-                                       exp=TINY)
+        hwcc = run(directory_sweep(TINY, ("heat",), sizes=(64,)))
+        cohesion = run(directory_sweep(TINY, ("heat",), sizes=(64,),
+                                       hybrid=True))
         assert cohesion["heat"][64] < hwcc["heat"][64]
 
     def test_directory_occupancy(self):
-        results = run_directory_occupancy(("heat",), exp=TINY)
+        results = run(directory_occupancy(TINY, ("heat",)))
         entry = results["heat"]
         assert entry["HWcc"]["avg"] > entry["Cohesion"]["avg"]
         assert entry["HWcc"]["max"] >= entry["HWcc"]["avg"]
         assert set(entry["HWcc"]["by_class"])  # classified
 
     def test_performance_normalized_to_cohesion(self):
-        results = run_performance(("mri",), exp=TINY)
+        results = run(performance(TINY, ("mri",)))
         row = results["mri"]
         assert set(row) == set(figure10_policies())
         assert row["Cohesion"] == pytest.approx(1.0)
         assert all(v > 0 for v in row.values())
 
     def test_stack_only_ablation_ordering(self):
-        results = run_stack_only_ablation(("heat",), exp=TINY)
+        results = run(stack_only_ablation(TINY, ("heat",)))
         row = results["heat"]
         assert row["Cohesion"] <= row["StackOnly"] <= row["HWcc"] * 1.05
         assert 0.0 <= row["stack_share_of_hwcc"] <= 1.0
@@ -130,7 +132,7 @@ class TestReport:
         assert len(lines) == 5
 
     def test_message_rows_normalized(self):
-        results = run_message_breakdown(("gjk",), exp=TINY)["gjk"]
+        results = run(message_breakdown(TINY, ("gjk",)))["gjk"]
         rows = message_breakdown_rows(results, normalize_to="SWcc")
         headers = short_message_headers()
         assert len(headers) == len(rows[0])

@@ -5,10 +5,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis import figures
+from repro.analysis import parallel
 from repro.analysis.experiments import (DIRECTORY_SWEEP_SIZES, L2_SWEEP_BYTES,
-                                        ExperimentConfig)
-from repro.analysis.figures import FIGURES, Sweeps
+                                        ExperimentConfig, standard_policies)
+from repro.analysis.figures import FIGURES, figure_results
+from repro.cache import RESULT_STATS
+from repro.cache.keys import digest
+from repro.cache.results import cell_key
 from repro.types import SegmentClass
 from repro.workloads import ALL_WORKLOADS
 
@@ -20,18 +23,37 @@ def test_registry_names_are_the_committed_tables():
 
 
 def test_figures_sharing_a_sweep_run_it_once(monkeypatch):
-    calls = []
+    batches = []
 
-    def fake_breakdown(workloads, policies, exp=None, jobs=None,
-                       progress=None):
-        calls.append(tuple(policies))
-        return {}
+    def fake_run_cells(cells, jobs=None, progress=None):
+        batches.append([cell.label for cell in cells])
+        return [object() for _cell in cells]
 
-    monkeypatch.setattr(figures, "run_message_breakdown", fake_breakdown)
-    sweeps = Sweeps(ExperimentConfig())
-    for name in ("fig02", "fig08"):
-        FIGURES[name].cells(sweeps)
-    assert calls == [("SWcc", "Cohesion", "HWccIdeal", "HWccReal")]
+    monkeypatch.setattr(parallel, "run_cells", fake_run_cells)
+    results = figure_results(["fig02", "fig08"], ExperimentConfig())
+    assert batches == [[f"{name}/{label}" for name in ALL_WORKLOADS
+                        for label in standard_policies()]]
+    assert results["fig02"] == results["fig08"]
+
+
+def test_every_figure_in_one_batch_simulates_each_cell_once(tmp_path,
+                                                            monkeypatch):
+    """Several figures declare the same cells (the unbounded HWcc and
+    Cohesion runs feed Figures 9a-9c, 10 and the ablation); in an empty
+    cache the union must ask for each distinct cell exactly once."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    RESULT_STATS.reset()
+    exp = ExperimentConfig(n_clusters=1, scale=0.1)
+    totals = set()
+    figure_results(list(FIGURES), exp, jobs=1,
+                   progress=lambda done, total, label, elapsed:
+                   totals.add(total))
+    distinct = {digest(cell_key(cell)) for figure in FIGURES.values()
+                for _key, cell in figure.sweep(exp).cells}
+    assert RESULT_STATS.hits == 0
+    assert RESULT_STATS.misses == len(distinct)
+    assert totals == {len(distinct)}
 
 
 # -- hand-built results, shaped like the committed tables -------------------

@@ -3,13 +3,11 @@
 import pytest
 
 from repro.analysis.experiments import (ExperimentConfig,
-                                        run_directory_occupancy,
-                                        run_directory_sweep,
-                                        run_message_breakdown,
-                                        run_performance,
-                                        run_stack_only_ablation,
-                                        run_useful_coherence_ops)
-from repro.analysis.parallel import (Cell, CellSweep, run_cells,
+                                        directory_occupancy, directory_sweep,
+                                        message_breakdown, performance,
+                                        stack_only_ablation,
+                                        useful_coherence_ops)
+from repro.analysis.parallel import (Cell, Sweep, run_cells, run_sweeps,
                                      stderr_progress)
 from repro.errors import SimulationError
 from repro.pool import parse_jobs, resolve_jobs
@@ -26,34 +24,31 @@ def _cache_off(monkeypatch):
     monkeypatch.setenv("REPRO_CACHE", "0")
 
 DRIVERS = [
-    pytest.param(lambda jobs: run_message_breakdown(
-        KERNELS, exp=TINY, jobs=jobs), id="message_breakdown"),
-    pytest.param(lambda jobs: run_useful_coherence_ops(
-        KERNELS, (8 * 1024, 16 * 1024), exp=TINY, jobs=jobs),
-        id="useful_coherence_ops"),
-    pytest.param(lambda jobs: run_directory_sweep(
-        KERNELS, (256, 1024), exp=TINY, jobs=jobs), id="directory_sweep"),
-    pytest.param(lambda jobs: run_directory_occupancy(
-        KERNELS, exp=TINY, jobs=jobs), id="directory_occupancy"),
-    pytest.param(lambda jobs: run_performance(
-        KERNELS, exp=TINY, jobs=jobs), id="performance"),
-    pytest.param(lambda jobs: run_stack_only_ablation(
-        KERNELS, exp=TINY, jobs=jobs), id="stack_only_ablation"),
+    pytest.param(message_breakdown(TINY, KERNELS), id="message_breakdown"),
+    pytest.param(useful_coherence_ops(TINY, KERNELS, (8 * 1024, 16 * 1024)),
+                 id="useful_coherence_ops"),
+    pytest.param(directory_sweep(TINY, KERNELS, (256, 1024)),
+                 id="directory_sweep"),
+    pytest.param(directory_occupancy(TINY, KERNELS),
+                 id="directory_occupancy"),
+    pytest.param(performance(TINY, KERNELS), id="performance"),
+    pytest.param(stack_only_ablation(TINY, KERNELS),
+                 id="stack_only_ablation"),
 ]
 
 
 class TestDeterminism:
-    """Every driver gives identical results at jobs=1 and jobs=4.
+    """Every declaration reduces identically at jobs=1 and jobs=4.
 
     Identity covers contents *and* iteration order of the result dicts
-    (the merge replay is append-ordered), so downstream table rendering
-    cannot observe how the cells were scheduled.
+    (reducers read their cells in declaration order), so downstream
+    table rendering cannot observe how the cells were scheduled.
     """
 
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_parallel_matches_serial(self, driver):
-        serial = driver(1)
-        parallel = driver(4)
+        serial = run_sweeps([driver], jobs=1)[0]
+        parallel = run_sweeps([driver], jobs=4)[0]
         assert serial == parallel
         assert _key_order(serial) == _key_order(parallel)
 
@@ -239,12 +234,26 @@ class TestNoPool:
                 "in-process") in err
 
 
-class TestCellSweep:
-    def test_merge_replay_order(self):
-        sweep = CellSweep(jobs=4)
-        order = []
-        for i in range(4):
-            sweep.add(Cell.make("gjk", _swcc(), TINY, label=f"c{i}"),
-                      lambda stats, i=i: order.append(i))
-        sweep.run()
-        assert order == [0, 1, 2, 3]
+class TestRunSweeps:
+    def test_reduce_sees_declaration_order(self):
+        cells = tuple((i, Cell.make("gjk", _swcc(), TINY,
+                                    l2_bytes=size * 1024))
+                      for i, size in enumerate((64, 8, 32, 16), start=1))
+        sweep = Sweep(cells, lambda stats: list(stats))
+        assert run_sweeps([sweep], jobs=4) == [[1, 2, 3, 4]]
+
+    def test_shared_cells_run_once(self):
+        """Two sweeps declaring one cell (under different keys and
+        labels) get that cell's single result object."""
+        shared = Cell.make("gjk", _swcc(), TINY, label="first")
+        same = Cell.make("gjk", _swcc(), TINY, label="second")
+        other = Cell.make("mri", _swcc(), TINY)
+        seen = []
+        first, second = run_sweeps(
+            [Sweep((("a", shared), ("b", other)), dict),
+             Sweep((("c", same),), dict)],
+            progress=lambda done, total, label, elapsed:
+            seen.append((total, label)))
+        assert seen == [(2, "first"), (2, "mri")]
+        assert second["c"] is first["a"]
+        assert first["b"] is not first["a"]

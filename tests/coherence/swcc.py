@@ -4,10 +4,11 @@ The left half of Figure 6 gives the per-line states software reasons
 about when a line is in the SWcc domain. The *mechanism* (write-allocate
 without directory involvement, silent clean drops, explicit WB/INV
 instructions) is implemented by the cluster cache controller
-(:mod:`repro.sim.cluster`); this module provides the formal state machine
-so tests can check the controller's observable behaviour against the
-paper's protocol, plus the classification helper that derives a line's
-SWcc state from cache metadata and region attributes.
+(:mod:`repro.sim.cluster`); this test-side module holds the formal state
+machine, plus the classification helper that derives a line's SWcc state
+from cache metadata and region attributes, so ``test_swcc_fsm.py`` can
+check the controller's observable behaviour against the paper's
+protocol.
 
 Protocol facts encoded here (Sections 2.1 and 3.3):
 

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.coherence.swcc import (GLOBALLY_VISIBLE_AFTER, SW_TRANSITIONS,
-                                  classify_sw_state, is_legal, next_state)
 from repro.mem.cache import CacheLine
 from repro.types import SWState
+
+from tests.coherence.swcc import (GLOBALLY_VISIBLE_AFTER, SW_TRANSITIONS,
+                                  classify_sw_state, is_legal, next_state)
 
 
 class TestTransitions:
@@ -82,3 +83,35 @@ class TestClassification:
     def test_shared_clean(self):
         entry = CacheLine(1)
         assert classify_sw_state(entry) is SWState.CLEAN
+
+
+class TestClusterFollowsTheFsm:
+    """A real cluster's L2 entry classifies as the FSM's state after
+    every event of ST -> WB -> INV/EVICT on an SWcc line."""
+
+    ADDR = 0x4000_0000  # incoherent heap
+
+    def _apply(self, cluster, event, t):
+        line = self.ADDR >> 5
+        if event == "ST":
+            cluster.store(0, self.ADDR, 7, t)
+        elif event == "WB":
+            cluster.flush_line(0, line, t)
+        elif event == "INV":
+            cluster.invalidate_line(0, line, t)
+        else:  # EVICT: stream conflicting lines through the L2
+            for i in range(1, cluster.l2.capacity_lines + 64):
+                t, _ = cluster.load(0, self.ADDR + 32 * i, t)
+        return t + 100.0
+
+    @pytest.mark.parametrize("last", ["INV", "EVICT"])
+    def test_store_writeback_then_drop(self, swcc_machine, last):
+        cluster = swcc_machine.clusters[0]
+        line = self.ADDR >> 5
+        state, t = SWState.INVALID, 0.0
+        assert classify_sw_state(cluster.l2.peek(line)) is state
+        for event in ("ST", "WB", last):
+            t = self._apply(cluster, event, t)
+            state = next_state(state, event)
+            assert classify_sw_state(cluster.l2.peek(line)) is state, event
+        assert state is SWState.INVALID

@@ -2,8 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.tbloff import (flat_bit_number, table_bit_index,
-                               table_entry_addr, table_slot, tbloff)
+from repro.core.tbloff import (table_bit_index, table_entry_addr,
+                               table_slot, tbloff)
 from repro.runtime.layout import FINE_TABLE_BYTES
 
 addresses = st.integers(min_value=0, max_value=(1 << 32) - 1)
@@ -62,9 +62,9 @@ class TestBijection:
     @given(addresses, addresses)
     def test_distinct_lines_distinct_bits(self, a, b):
         if (a >> 5) != (b >> 5):
-            assert flat_bit_number(a) != flat_bit_number(b)
+            assert table_slot(a) != table_slot(b)
         else:
-            assert flat_bit_number(a) == flat_bit_number(b)
+            assert table_slot(a) == table_slot(b)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=(1 << 27) - 1))
@@ -77,7 +77,7 @@ class TestBijection:
         """Every line of a 1 MB window maps to a unique table bit."""
         seen = set()
         for line in range(0x40000000 >> 5, (0x40000000 + (1 << 20)) >> 5):
-            bit = flat_bit_number(line << 5)
+            bit = table_slot(line << 5)
             assert bit not in seen
             seen.add(bit)
         assert len(seen) == (1 << 20) // 32

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.mem.address import (ADDRESS_SPACE, FULL_WORD_MASK, LINE_BYTES,
-                               WORDS_PER_LINE, AddressMap, align_down,
-                               align_up, line_base, line_of, lines_in_range,
-                               word_bit, word_index)
+                               WORDS_PER_LINE, AddressMap, align_up,
+                               line_base, line_of, lines_in_range,
+                               word_index)
 
 addresses = st.integers(min_value=0, max_value=ADDRESS_SPACE - 1)
 
@@ -24,10 +24,6 @@ class TestLineMath:
         assert [word_index(4 * i) for i in range(8)] == list(range(8))
         assert word_index(32) == 0
 
-    def test_word_bit_one_hot(self):
-        for i in range(8):
-            assert word_bit(4 * i) == 1 << i
-
     def test_full_mask_covers_line(self):
         assert FULL_WORD_MASK == (1 << WORDS_PER_LINE) - 1
         assert WORDS_PER_LINE * 4 == LINE_BYTES
@@ -38,15 +34,16 @@ class TestLineMath:
         assert base <= addr < base + LINE_BYTES
 
     def test_align_down_up(self):
-        assert align_down(33) == 32
-        assert align_down(32) == 32
+        assert line_base(line_of(33)) == 32
+        assert line_base(line_of(32)) == 32
         assert align_up(33) == 64
         assert align_up(64) == 64
 
     @given(addresses)
     def test_align_bracket(self, addr):
-        assert align_down(addr) <= addr <= align_up(addr)
-        assert align_up(addr) - align_down(addr) in (0, LINE_BYTES)
+        down = line_base(line_of(addr))
+        assert down <= addr <= align_up(addr)
+        assert align_up(addr) - down in (0, LINE_BYTES)
 
     def test_lines_in_range_empty(self):
         assert list(lines_in_range(100, 0)) == []
@@ -96,7 +93,7 @@ class TestAddressMap:
     @given(addresses)
     def test_line_and_byte_mapping_agree(self, addr):
         amap = AddressMap()
-        assert amap.bank_of_line(line_of(addr)) == amap.bank_of(align_down(addr))
+        assert amap.bank_of_line(line_of(addr)) == amap.bank_of(line_base(line_of(addr)))
 
     def test_same_line_same_bank(self):
         amap = AddressMap()

@@ -121,21 +121,6 @@ class TestCommands:
         assert doc["otherData"]["captured_events"] == 100
         assert doc["otherData"]["dropped_events"] > 0
 
-    def test_compare_command(self, capsys):
-        code = main(["compare", "--workload", "gjk", "--clusters", "1",
-                     "--scale", "0.1"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "SWcc" in out and "HWccReal" in out
-        assert "runtime and directory pressure" in out
-
-    def test_sweep_command(self, capsys):
-        code = main(["sweep", "--workload", "gjk", "--clusters", "1",
-                     "--scale", "0.1", "--sizes", "64,512"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "HWcc" in out and "Cohesion" in out
-
     def test_area_command(self, capsys):
         code = main(["area"])
         out = capsys.readouterr().out
@@ -316,8 +301,13 @@ class TestCacheCommand:
         RESULT_STATS.reset()  # process-global; earlier tests count too
 
     def _populate(self):
-        assert main(["sweep", "--workload", "gjk", "--sizes", "256",
-                     "--clusters", "2", "--scale", "0.12", "--quiet"]) == 0
+        from repro.analysis.experiments import ExperimentConfig
+        from repro.analysis.parallel import Cell, run_cells
+        from repro.config import Policy
+
+        exp = ExperimentConfig(n_clusters=2, scale=0.12)
+        run_cells([Cell.make("gjk", Policy.hwcc_real(256, 256), exp),
+                   Cell.make("gjk", Policy.cohesion(256, 256), exp)])
 
     def test_stats_empty(self, capsys):
         assert main(["cache"]) == 0
@@ -331,12 +321,20 @@ class TestCacheCommand:
         assert report["enabled"] is True
         assert report["results"]["entries"] == 0
 
-    def test_sweep_reports_cache_line(self, capsys):
-        self._populate()
-        err = capsys.readouterr().err
-        assert "sweep: cell cache: hits=0 misses=" in err
-        self._populate()
-        assert "hits=" in capsys.readouterr().err
+    def test_sweep_reports_cache_line(self, tmp_path, capsys):
+        from repro.cache import RESULT_STATS
+
+        # knobs declares 8 cells; write_buffer=16 and tree_bw=4 are both
+        # the default machine, so 7 are distinct.
+        argv = ["figures", "knobs", "--clusters", "1", "--scale", "0.1",
+                "--quiet", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert "figures: cell cache: hits=0 misses=7 " in (
+            capsys.readouterr().err)
+        RESULT_STATS.reset()
+        assert main(argv) == 0
+        assert "figures: cell cache: hits=7 misses=0 " in (
+            capsys.readouterr().err)
 
     def test_warm_validate_reports_all_hits(self, tmp_path, capsys,
                                             monkeypatch):
